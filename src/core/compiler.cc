@@ -321,18 +321,14 @@ StatusOr<QueryResult> QueryProcessor::RunChain(
     result.answer = seprec::Answer(query.arity());
     result.stats = EvalStats();
 
+    // Each attempt writes into a fresh overlay; a failed attempt, a
+    // fallback hop and a partial answer simply drop it. A compiled schema
+    // evaluates in the overlay it owns instead.
+    Database overlay(db);
     const bool use_schema =
         schema != nullptr && chain[i] == Strategy::kSeparable;
-    if (use_schema) {
-      // The schema's scratch relations pre-date the checkpoint below;
-      // emptying them first means the checkpoint records them at zero
-      // slots, so rollback restores a clean slate whatever this run (or a
-      // previous one) left behind.
-      schema->ClearScratch();
-    }
-    DatabaseCheckpoint checkpoint(db);
     Status status =
-        RunStrategy(chain[i], query, db, governed, &result,
+        RunStrategy(chain[i], query, &overlay, governed, &result,
                     use_schema ? schema : nullptr, reuse, capture);
     if (!status.ok()) {
       // Budget trips never trigger a fallback: a retry would burn the same
@@ -343,8 +339,7 @@ StatusOr<QueryResult> QueryProcessor::RunChain(
       }
       last_error = status;
       if (i + 1 < chain.size()) {
-        // Leave the failed attempt rolled back (checkpoint destructor) and
-        // record the hop for the caller and its diagnostics stream.
+        // Record the hop for the caller and its diagnostics stream.
         Diagnostic note;
         note.code = "G001";
         note.severity = Severity::kNote;
@@ -360,21 +355,13 @@ StatusOr<QueryResult> QueryProcessor::RunChain(
       continue;
     }
     if (governor.ctx()->stopped()) {
-      // Partial answer: keep the harvested (sound) tuples, restore the
-      // database so no half-materialised IDB outlives the query.
+      // Partial answer: keep the harvested (sound) tuples; no
+      // half-materialised IDB outlives the query.
       result.partial = true;
       result.degradation = governor.ctx()->degradation();
-      return result;  // checkpoint destructor rolls back
+      return result;
     }
-    if (commit) {
-      checkpoint.Commit();
-    } else {
-      // Per-request isolation: the answer is already harvested (plain
-      // Values, independent of the relations), so restore the database to
-      // its pre-query extent. Rollback does not bump the generation — the
-      // stored data is unchanged.
-      SEPREC_RETURN_IF_ERROR(checkpoint.Rollback());
-    }
+    if (commit) overlay.CommitToBase();
     return result;
   }
   return last_error;
@@ -517,10 +504,13 @@ StatusOr<PreparedQuery> QueryProcessor::Prepare(
   if (prepared.pass_report_.has_value()) {
     // Plan once per prepared query: the service's compiled-plan cache
     // keeps the PreparedQuery (and with it this report), so repeat
-    // executions reuse the chosen orders without re-planning.
+    // executions reuse the chosen orders without re-planning. The IDB
+    // relations the planner costs are created empty in a throwaway
+    // overlay, never in `db`.
+    Database idb(db);
     for (const auto& [name, info] : effective->info_.predicates()) {
       if (!info.is_idb) continue;
-      SEPREC_RETURN_IF_ERROR(db->CreateRelation(name, info.arity).status());
+      SEPREC_RETURN_IF_ERROR(idb.CreateRelation(name, info.arity).status());
     }
     for (const Rule& rule : effective->info_.program().rules) {
       std::vector<const Relation*> relations(rule.body.size(), nullptr);
@@ -528,7 +518,7 @@ StatusOr<PreparedQuery> QueryProcessor::Prepare(
       for (size_t i = 0; i < rule.body.size(); ++i) {
         const Literal& lit = rule.body[i];
         if (lit.kind != Literal::Kind::kAtom || lit.negated) continue;
-        relations[i] = db->Find(lit.atom.predicate);
+        relations[i] = idb.Find(lit.atom.predicate);
         ++positive;
       }
       if (positive == 0) continue;
@@ -559,15 +549,6 @@ StatusOr<PreparedQuery> QueryProcessor::Prepare(
     const SeparableRecursion* sep = effective->FindSeparable(query.predicate);
     if (sep != nullptr &&
         ClassifySelection(*sep, query) == SelectionKind::kFull) {
-      // Rule plans bind concrete relations, so the program's IDB
-      // predicates must exist in the catalog before compilation — empty is
-      // fine, Execute re-materialises them per run. CreateRelation is
-      // idempotent and does not bump the generation.
-      for (const auto& [name, info] : effective->info_.predicates()) {
-        if (!info.is_idb) continue;
-        SEPREC_RETURN_IF_ERROR(
-            db->CreateRelation(name, info.arity).status());
-      }
       StatusOr<std::unique_ptr<PreparedSeparable>> schema =
           PreparedSeparable::Compile(effective->info_.program(), *sep, query,
                                      db, policy);

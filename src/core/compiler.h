@@ -60,7 +60,7 @@ struct QueryResult {
   // FixpointOptions::limits) stopped the evaluation early. The answer then
   // holds a sound subset of the full answer (stratified evaluation is
   // monotone within a stratum, so a truncated run only emits true tuples)
-  // and the database has been rolled back to its pre-query extent.
+  // and the database is exactly as it was before the query.
   bool partial = false;
   // Which limit tripped, when `partial` is true.
   std::optional<DegradationInfo> degradation;
@@ -141,13 +141,18 @@ class QueryProcessor {
   // Answers `query` against `db`. `strategy` kAuto defers to Decide; a
   // forced strategy fails with FAILED_PRECONDITION when inapplicable.
   //
+  // Isolation: each attempt evaluates into a private overlay over `db`
+  // (reads fall through, writes stay in the overlay). A successful
+  // attempt's derived relations — everything not named '$...' — move into
+  // `db`; any other outcome drops the overlay.
+  //
   // Resource governance: the query runs under one ExecutionContext built
   // from `options` (or adopts options.context). When a limit trips, the
-  // database is rolled back to its pre-query extent and the call returns
-  // OK with QueryResult::partial set — never an half-materialised IDB.
-  // In kAuto mode a strategy that fails for a NON-budget reason falls back
-  // along separable -> magic -> semi-naive; each hop is recorded in
-  // QueryResult::reason and as a G001 diagnostic.
+  // call returns OK with QueryResult::partial set and `db` untouched —
+  // never an half-materialised IDB. In kAuto mode a strategy that fails
+  // for a NON-budget reason falls back along separable -> magic ->
+  // semi-naive; each hop is recorded in QueryResult::reason and as a G001
+  // diagnostic.
   StatusOr<QueryResult> Answer(const Atom& query, Database* db,
                                Strategy strategy = Strategy::kAuto,
                                const FixpointOptions& options = {}) const;
@@ -161,12 +166,13 @@ class QueryProcessor {
   // split as an API: Prepare is the database-independent per-program cost,
   // Execute the per-selection cost.
   //
-  // Schema compilation binds rule plans against `db` (pre-creating the
-  // program's IDB relations, empty, so the plans have something to bind);
-  // the PreparedQuery must be destroyed before `db` and is invalidated by
-  // Drop of any relation it binds. A schema-compile failure degrades
-  // softly: the PreparedQuery is still returned, and Execute runs the
-  // exact one-shot path Answer uses.
+  // Schema compilation binds rule plans against `db`, keeping the
+  // program's IDB relations in an overlay the schema owns (see
+  // PreparedSeparable); only an EDB predicate with no relation yet is
+  // created, empty, in `db`. The PreparedQuery must be destroyed before
+  // `db` and is invalidated by Drop of any relation it binds. A
+  // schema-compile failure degrades softly: the PreparedQuery is still
+  // returned, and Execute runs the exact one-shot path Answer uses.
   //
   // `policy` fixes the parallel-partition count baked into the compiled
   // plans; the processor must outlive the returned PreparedQuery.
@@ -229,11 +235,11 @@ class QueryProcessor {
                      Phase1Closure* capture = nullptr) const;
 
   // The execute half shared by Answer and PreparedQuery::Execute: runs the
-  // fallback chain under one governor context with per-attempt checkpoint
-  // rollback. With `commit` false the database is rolled back even on
-  // success, after the answer is harvested — the query service's
-  // per-request isolation (result tuples are plain Values, valid across
-  // the rollback).
+  // fallback chain under one governor context, each attempt in a fresh
+  // overlay over `db`. With `commit` true a successful attempt's non-'$'
+  // relations move into `db`; with `commit` false (the query service) the
+  // overlay is always dropped once the answer is harvested (result tuples
+  // are plain Values, independent of any relation).
   StatusOr<QueryResult> RunChain(const Atom& query, Database* db,
                                  const std::vector<Strategy>& chain,
                                  Strategy decided, std::string reason,
@@ -252,10 +258,10 @@ class QueryProcessor {
 // The compiled artifact QueryProcessor::Prepare returns: the strategy
 // decision and fallback chain for one selection shape, plus (when the
 // decision is a full-selection Separable run) the compiled schema. Execute
-// mirrors Answer exactly — same chain, same checkpoint/partial semantics,
+// mirrors Answer exactly — same chain, same overlay/partial semantics,
 // same G001 fallback notes — and adds the service's two knobs: phase-1
-// closure reuse/capture and commit-or-rollback. Movable, not copyable (it
-// owns the compiled schema's scratch relations via PreparedSeparable).
+// closure reuse/capture and commit-or-discard. Movable, not copyable (it
+// owns the compiled schema's relations via PreparedSeparable).
 class PreparedQuery {
  public:
   PreparedQuery(PreparedQuery&&) = default;
@@ -287,8 +293,10 @@ class PreparedQuery {
   // Answers `query` (which must match the prepared shape) against `db` —
   // the database Prepare compiled against. `reuse`/`capture` forward to
   // the compiled schema (ignored without one, or on fallback attempts).
-  // With `commit` false every attempt rolls back, success included; the
-  // returned answer is harvested first.
+  // With `commit` false nothing is written to `db`, success included; the
+  // returned answer is harvested before the attempt's overlay is dropped.
+  // With `commit` true a successful attempt commits as Answer does, except
+  // that a compiled schema's relations stay in the schema's own overlay.
   StatusOr<QueryResult> Execute(const Atom& query, Database* db,
                                 const FixpointOptions& options = {},
                                 const Phase1Closure* reuse = nullptr,

@@ -1,7 +1,5 @@
 #include "core/governor.h"
 
-#include <algorithm>
-
 #include "eval/trace.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
@@ -120,54 +118,6 @@ Status ExecutionContext::ToStatus() const {
     default:
       return ResourceExhaustedError(message());
   }
-}
-
-DatabaseCheckpoint::DatabaseCheckpoint(Database* db) : db_(db) {
-  for (const std::string& name : db_->RelationNames()) {
-    const Relation* rel = db_->Find(name);
-    marks_.push_back(Mark{name, rel->slots(), rel->erase_epoch()});
-  }
-}
-
-DatabaseCheckpoint::~DatabaseCheckpoint() {
-  if (!active_) return;
-  Status status = Rollback();
-  if (!status.ok()) {
-    std::fprintf(stderr, "[seprec] DatabaseCheckpoint: %s\n",
-                 status.message().c_str());
-  }
-  SEPREC_CHECK(status.ok());
-}
-
-Status DatabaseCheckpoint::Rollback() {
-  if (!active_) return Status::OK();
-  active_ = false;
-  // Refuse — before touching anything — if a checkpointed relation was
-  // erased from since construction: TruncateToSlots cannot resurrect
-  // tombstones, so "rollback" would silently lose rows instead of
-  // restoring the checkpointed extent.
-  for (const Mark& mark : marks_) {
-    const Relation* rel = db_->Find(mark.name);
-    if (rel != nullptr && rel->erase_epoch() != mark.erase_epoch) {
-      return FailedPreconditionError(
-          StrCat("checkpoint rollback across EraseRows on relation '",
-                 mark.name,
-                 "': tombstoned rows cannot be restored by truncation"));
-    }
-  }
-  for (const std::string& name : db_->RelationNames()) {
-    auto it = std::find_if(
-        marks_.begin(), marks_.end(),
-        [&name](const Mark& mark) { return mark.name == name; });
-    if (it == marks_.end()) {
-      // Restoring the checkpointed catalog, not mutating it: don't bump
-      // the data generation (closure caches stay valid across rollbacks).
-      db_->Drop(name, /*bump_generation=*/false);
-    } else {
-      db_->Find(name)->TruncateToSlots(it->slots);
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace seprec

@@ -10,12 +10,13 @@
 //     convert a tripped limit into RESOURCE_EXHAUSTED / CANCELLED at the
 //     entry point, leaving partially materialised relations in the
 //     database — the historical contract the engine tests rely on.
-//   * QueryProcessor::Answer owns a context, snapshots the database with
-//     DatabaseCheckpoint, and on a trip rolls the database back and
-//     returns OK with QueryResult::partial set — the caller's Database is
-//     never left half-materialised. Because evaluation is stratified and
-//     monotone within a stratum, every tuple a truncated run produced is a
-//     true tuple, so a partial answer is always a subset of the full one.
+//   * QueryProcessor::Answer owns a context and evaluates each attempt in
+//     a private overlay over the caller's Database (Database(base)). On a
+//     trip it drops the overlay and returns OK with QueryResult::partial
+//     set — the caller's Database is never left half-materialised. Because
+//     evaluation is stratified and monotone within a stratum, every tuple
+//     a truncated run produced is a true tuple, so a partial answer is
+//     always a subset of the full one.
 #ifndef SEPREC_CORE_GOVERNOR_H_
 #define SEPREC_CORE_GOVERNOR_H_
 
@@ -24,8 +25,6 @@
 #include <limits>
 #include <mutex>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "storage/database.h"
 #include "util/deadline.h"
@@ -201,7 +200,7 @@ class ExecutionContext {
 };
 
 // Adopt-or-own helper used by every engine entry point: adopt the caller's
-// context when one was supplied (the caller handles stops and rollback),
+// context when one was supplied (the caller handles stops and isolation),
 // else run a private context and convert a trip into an error Status when
 // the entry point returns.
 class GovernorScope {
@@ -221,51 +220,6 @@ class GovernorScope {
  private:
   ExecutionContext local_;
   ExecutionContext* caller_;
-};
-
-// Snapshot of a database's extent, as relation-name -> slot-count pairs.
-// Because the evaluators only append (never erase) during a run, rolling
-// back means dropping relations created since the checkpoint and
-// truncating pre-existing ones to their recorded slot counts — restoring
-// the caller's database exactly. Rolls back on destruction unless
-// committed.
-//
-// NOT valid across EraseRows (the DRed incremental deletion path):
-// truncation cannot resurrect a tombstoned slot, so a rollback spanning
-// an erase would silently lose rows. This is enforced: each relation's
-// erase epoch is recorded at construction, and Rollback returns
-// FAILED_PRECONDITION — leaving the database untouched — if any
-// checkpointed relation was erased from in between. The governed engines
-// never erase, so the live query path cannot trip this; the query
-// service serialises incremental maintenance against query execution for
-// the same reason.
-class DatabaseCheckpoint {
- public:
-  explicit DatabaseCheckpoint(Database* db);
-  // CHECK-fails if an un-committed checkpoint can no longer roll back
-  // (EraseRows ran in between); call Rollback() first to handle that as a
-  // recoverable error.
-  ~DatabaseCheckpoint();
-  DatabaseCheckpoint(const DatabaseCheckpoint&) = delete;
-  DatabaseCheckpoint& operator=(const DatabaseCheckpoint&) = delete;
-
-  // Keeps everything written since the checkpoint.
-  void Commit() { active_ = false; }
-  // Restores the checkpointed extent now (idempotent). Returns
-  // FAILED_PRECONDITION (database untouched, checkpoint deactivated) if a
-  // checkpointed relation saw EraseRows since construction.
-  Status Rollback();
-
- private:
-  struct Mark {
-    std::string name;
-    size_t slots = 0;
-    uint64_t erase_epoch = 0;
-  };
-
-  Database* db_;
-  bool active_ = true;
-  std::vector<Mark> marks_;
 };
 
 }  // namespace seprec

@@ -129,8 +129,14 @@ StatusOr<IncrementalEngine> IncrementalEngine::Create(Program program,
 
   for (const auto& [name, pred] : engine.info_.predicates()) {
     engine.predicates_.insert(name);
-    if (pred.is_idb) engine.idb_.insert(name);
-    SEPREC_RETURN_IF_ERROR(db->CreateRelation(name, pred.arity).status());
+    // The maintained IDB is the engine's own (local to an overlay `db`);
+    // base relations are read wherever they live.
+    if (pred.is_idb) {
+      engine.idb_.insert(name);
+      SEPREC_RETURN_IF_ERROR(db->CreateRelation(name, pred.arity).status());
+    } else {
+      SEPREC_RETURN_IF_ERROR(db->Bind(name, pred.arity).status());
+    }
     SEPREC_RETURN_IF_ERROR(
         db->CreateRelation(engine.NewDeltaName(name), pred.arity).status());
     SEPREC_RETURN_IF_ERROR(
@@ -531,16 +537,6 @@ Status IncrementalEngine::FinishRemoval() {
   Status status = RederiveAndCascade();
   last_update_.seconds += timer.Seconds();
   return status;
-}
-
-std::vector<std::string> IncrementalEngine::ScratchRelationNames() const {
-  std::vector<std::string> names;
-  names.reserve(predicates_.size() * 2);
-  for (const std::string& pred : predicates_) {
-    names.push_back(NewDeltaName(pred));
-    names.push_back(DelDeltaName(pred));
-  }
-  return names;
 }
 
 Status IncrementalEngine::RemoveFact(

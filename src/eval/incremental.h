@@ -52,6 +52,9 @@ class IncrementalEngine {
  public:
   // Validates the program (safe, positive, no aggregates) and compiles
   // the delta/overdelete/rederive plan sets. `db` must outlive the engine.
+  // The IDB and delta relations are created in `db` itself (an overlay
+  // keeps them private); base relations bind wherever they are visible
+  // (Database::Bind).
   static StatusOr<IncrementalEngine> Create(Program program, Database* db);
 
   IncrementalEngine(IncrementalEngine&&) = default;
@@ -120,11 +123,6 @@ class IncrementalEngine {
   // from the remaining tuples, cascades the re-insertions, and clears the
   // filters. Requires a preceding PrepareRemoval.
   Status FinishRemoval();
-
-  // The '$'-prefixed delta relations this engine created in the database
-  // (unique to this engine instance), so an owner tearing the engine down
-  // can Drop them.
-  std::vector<std::string> ScratchRelationNames() const;
 
   // Statistics of the most recent update call (for the split-phase form,
   // of the Prepare/Finish pair as a whole).

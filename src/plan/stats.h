@@ -3,7 +3,7 @@
 // RelationStats carries the tuple count and a per-column distinct-value
 // estimate; StatsCatalog caches one entry per relation and refreshes it
 // lazily whenever the relation's (size, slots, mutation_epoch)
-// fingerprint changes. Inserts and truncates move size or slots; erases
+// fingerprint changes. Inserts move size and slots; erases
 // and clears — which can otherwise be followed by inserts restoring the
 // exact same extent with different contents — bump the relation's
 // mutation epoch, so readers never need explicit invalidation hooks on

@@ -1,7 +1,6 @@
 #include "separable/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <optional>
 #include <set>
@@ -155,31 +154,18 @@ Rule MakePhase2Rule(const SeparableRecursion& sep, const AnchorInfo& anchor,
 
 class SchemaRunner {
  public:
+  // The carry/seen scratch lives in a private overlay over `db`, so the
+  // relation names need no uniquifying and die with the runner; the
+  // synthetic rules read everything else through it.
   SchemaRunner(const SeparableRecursion& sep, AnchorInfo anchor,
                Database* db, const ParallelPolicy& policy,
                JoinOrderMode join_order = JoinOrderMode::kCostBased)
       : sep_(sep),
         anchor_(std::move(anchor)),
-        db_(db),
+        scratch_(db),
         num_partitions_(policy.Enabled() ? policy.ResolvedThreads() : 1),
         min_rows_per_task_(policy.min_rows_per_task),
-        join_order_(join_order) {
-    // Atomic: the query service compiles prepared schemas from concurrent
-    // session threads.
-    static std::atomic<int> counter{0};
-    prefix_ = StrCat("$sep", counter.fetch_add(1), "_");
-  }
-
-  ~SchemaRunner() {
-    for (const char* suffix : {"carry1", "seen1", "carry2", "seen2"}) {
-      db_->Drop(prefix_ + suffix);
-    }
-    if (num_partitions_ > 1) {
-      for (size_t k = 0; k < num_partitions_; ++k) {
-        db_->Drop(PartName(k));
-      }
-    }
-  }
+        join_order_(join_order) {}
 
   SchemaRunner(const SchemaRunner&) = delete;
   SchemaRunner& operator=(const SchemaRunner&) = delete;
@@ -187,22 +173,19 @@ class SchemaRunner {
   Status Compile() {
     const size_t w = anchor_.anchor_positions.size();
     const size_t rest = anchor_.rest_positions.size();
-    SEPREC_ASSIGN_OR_RETURN(carry1_,
-                            db_->CreateRelation(prefix_ + "carry1", w));
-    SEPREC_ASSIGN_OR_RETURN(seen1_,
-                            db_->CreateRelation(prefix_ + "seen1", w));
+    SEPREC_ASSIGN_OR_RETURN(carry1_, scratch_.CreateRelation("$carry1", w));
+    SEPREC_ASSIGN_OR_RETURN(seen1_, scratch_.CreateRelation("$seen1", w));
     SEPREC_ASSIGN_OR_RETURN(carry2_,
-                            db_->CreateRelation(prefix_ + "carry2", rest));
-    SEPREC_ASSIGN_OR_RETURN(seen2_,
-                            db_->CreateRelation(prefix_ + "seen2", rest));
+                            scratch_.CreateRelation("$carry2", rest));
+    SEPREC_ASSIGN_OR_RETURN(seen2_, scratch_.CreateRelation("$seen2", rest));
     sink1_ = std::make_unique<ShardedSink>(w);
     sink2_ = std::make_unique<ShardedSink>(rest);
-    sink1_->SetAccountant(&db_->accountant());
-    sink2_->SetAccountant(&db_->accountant());
+    sink1_->SetAccountant(&scratch_.accountant());
+    sink2_->SetAccountant(&scratch_.accountant());
     if (num_partitions_ > 1) {
       for (size_t k = 0; k < num_partitions_; ++k) {
         SEPREC_ASSIGN_OR_RETURN(Relation * part,
-                                db_->CreateRelation(PartName(k), rest));
+                                scratch_.CreateRelation(PartName(k), rest));
         carry2_parts_.push_back(part);
       }
       phase2_part_plans_.resize(num_partitions_);
@@ -216,7 +199,7 @@ class SchemaRunner {
         Rule rule = MakePhase1Rule(sep_, anchor_, r, carry1_->name(), "$new1");
         phase1_labels_.push_back(rule.ToString());
         SEPREC_ASSIGN_OR_RETURN(RulePlan plan,
-                                RulePlan::Compile(rule, db_, plan_opts));
+                                RulePlan::Compile(rule, &scratch_, plan_opts));
         phase1_plans_.push_back(std::move(plan));
       }
     }
@@ -224,7 +207,7 @@ class SchemaRunner {
       Rule rule = MakeExitRule(sep_, anchor_, e, seen1_->name(), "$init2");
       exit_labels_.push_back(rule.ToString());
       SEPREC_ASSIGN_OR_RETURN(RulePlan plan,
-                              RulePlan::Compile(rule, db_, plan_opts));
+                              RulePlan::Compile(rule, &scratch_, plan_opts));
       exit_plans_.push_back(std::move(plan));
     }
     for (size_t r = 0; r < sep_.recursion.recursive_rules.size(); ++r) {
@@ -235,7 +218,7 @@ class SchemaRunner {
       Rule rule = MakePhase2Rule(sep_, anchor_, r, carry2_->name(), "$new2");
       phase2_labels_.push_back(rule.ToString());
       SEPREC_ASSIGN_OR_RETURN(RulePlan plan,
-                              RulePlan::Compile(rule, db_, plan_opts));
+                              RulePlan::Compile(rule, &scratch_, plan_opts));
       phase2_plans_.push_back(std::move(plan));
       // Partition variants: the same rule reading partition k of carry_2.
       for (size_t k = 0; k < num_partitions_ && num_partitions_ > 1; ++k) {
@@ -243,25 +226,11 @@ class SchemaRunner {
             RulePlan part_plan,
             RulePlan::Compile(
                 MakePhase2Rule(sep_, anchor_, r, PartName(k), "$new2"),
-                db_, plan_opts));
+                &scratch_, plan_opts));
         phase2_part_plans_[k].push_back(std::move(part_plan));
       }
     }
     return Status::OK();
-  }
-
-  // Empties the scratch relations and staging sinks. Run does this itself
-  // on entry; callers that snapshot the database with DatabaseCheckpoint
-  // between runs call it first so the checkpoint records the scratch empty
-  // (truncate-to-zero rollback is then valid whatever a run left behind).
-  void ClearScratch() {
-    carry1_->Clear();
-    seen1_->Clear();
-    carry2_->Clear();
-    seen2_->Clear();
-    sink1_->Clear();
-    sink2_->Clear();
-    for (Relation* part : carry2_parts_) part->Clear();
   }
 
   // Runs the schema from `seeds` (each of width |anchor_positions|) and
@@ -274,14 +243,13 @@ class SchemaRunner {
   // cache: with `reuse`, seen_1 is seeded from the cached closure instead
   // of the seeds and the phase-1 loop never runs (carry_1 stays empty);
   // with `capture`, a run whose phase-1 loop completed (drained carry_1
-  // without a governor trip) copies seen_1 out for caching.
+  // without a governor trip) copies seen_1 out for caching. Run leaves the
+  // scratch relations and staging sinks empty.
   void Run(const std::vector<std::vector<Value>>& seeds,
            ExecutionContext* ctx, EvalStats* stats,
            std::vector<std::vector<Value>>* rest_rows,
            const Phase1Closure* reuse = nullptr,
            Phase1Closure* capture = nullptr) {
-    ClearScratch();
-
     size_t inserted = 0;
     size_t max_carry1 = 0;
     size_t max_carry2 = 0;
@@ -531,6 +499,9 @@ class SchemaRunner {
       stats->NoteRelationMax("seen_2", seen2_->size());
       stats->NoteRelationMax("ans", seen2_->size());
     }
+    scratch_.ClearLocal(/*reload=*/false);
+    sink1_->Clear();
+    sink2_->Clear();
   }
 
   const AnchorInfo& anchor() const { return anchor_; }
@@ -538,8 +509,7 @@ class SchemaRunner {
  private:
   const SeparableRecursion& sep_;
   AnchorInfo anchor_;
-  Database* db_;
-  std::string prefix_;
+  Database scratch_;
   Relation* carry1_ = nullptr;
   Relation* seen1_ = nullptr;
   Relation* carry2_ = nullptr;
@@ -565,7 +535,7 @@ class SchemaRunner {
   std::vector<Relation*> carry2_parts_;
   std::vector<std::vector<RulePlan>> phase2_part_plans_;
 
-  std::string PartName(size_t k) const { return StrCat(prefix_, "part", k); }
+  static std::string PartName(size_t k) { return StrCat("$part", k); }
 };
 
 namespace {
@@ -828,12 +798,17 @@ StatusOr<SeparableRunResult> EvaluateWithSeparable(
 // ---- PreparedSeparable ---------------------------------------------------
 
 struct PreparedSeparable::Impl {
+  explicit Impl(Database* base) : db(base) {}
+
   // Own copies: a prepared query outlives the request (and possibly the
   // QueryProcessor) that compiled it.
   Program program;
   SeparableRecursion sep;
   std::vector<bool> bound;  // the compiled selection shape
-  Database* db = nullptr;
+  // The program's IDB and support relations, in a private overlay over
+  // the database Compile was given.
+  Database db;
+  // Declared after `db`: its plans bind relations there, so it goes first.
   std::unique_ptr<SchemaRunner> runner;
 };
 
@@ -859,21 +834,26 @@ StatusOr<std::unique_ptr<PreparedSeparable>> PreparedSeparable::Compile(
                "schema (partial selections re-derive their Lemma 2.1 "
                "branches per request)"));
   }
-  auto impl = std::make_unique<Impl>();
+  auto impl = std::make_unique<Impl>(db);
   impl->program = program;
   impl->sep = sep;
   impl->bound = std::move(bound);
-  impl->db = db;
+  // Rule plans bind concrete relations, so the program's IDB predicates
+  // must exist before compilation — empty is fine, Execute materialises
+  // them per run.
+  for (const Rule& rule : program.rules) {
+    SEPREC_RETURN_IF_ERROR(
+        impl->db.CreateRelation(rule.head.predicate, rule.head.arity())
+            .status());
+  }
   // The runner references impl->sep (not the caller's `sep`), which lives
   // exactly as long as the runner does.
   impl->runner = std::make_unique<SchemaRunner>(impl->sep, *std::move(anchor),
-                                                db, policy);
+                                                &impl->db, policy);
   SEPREC_RETURN_IF_ERROR(impl->runner->Compile());
   return std::unique_ptr<PreparedSeparable>(
       new PreparedSeparable(std::move(impl)));
 }
-
-void PreparedSeparable::ClearScratch() { impl_->runner->ClearScratch(); }
 
 bool PreparedSeparable::Matches(const Atom& query) const {
   if (query.predicate != impl_->sep.predicate() ||
@@ -884,23 +864,21 @@ bool PreparedSeparable::Matches(const Atom& query) const {
 }
 
 ClosureMaintenance PreparedSeparable::MaintenanceFor(
-    const Atom& query, const std::string& prefix) const {
+    const Atom& query) const {
   ClosureMaintenance out;
   if (!Matches(query)) return out;  // kNone
   const AnchorInfo& anchor = impl_->runner->anchor();
-  Database* db = impl_->db;
+  SymbolTable& symbols = impl_->db.symbols();
   for (const Term& arg : query.args) {
-    if (arg.kind == Term::Kind::kSymbol) db->symbols().Intern(arg.name);
+    if (arg.kind == Term::Kind::kSymbol) symbols.Intern(arg.name);
   }
   bool resolvable = false;
   std::vector<std::optional<Value>> query_constants =
-      ResolveConstants(query, db->symbols(), &resolvable);
+      ResolveConstants(query, symbols, &resolvable);
   if (!resolvable) return out;
   for (uint32_t p : anchor.anchor_positions) {
     out.seed_row.push_back(*query_constants[p]);
   }
-  out.closure_name = StrCat(prefix, "c");
-  out.seed_name = StrCat(prefix, "seed");
   if (!anchor.anchor_class.has_value()) {
     // Dummy equivalence class: seen_1 is exactly {seed_row}, whatever the
     // data says.
@@ -931,10 +909,11 @@ ClosureMaintenance PreparedSeparable::MaintenanceFor(
   // seen_1 as a least fixpoint: seed rule plus one MakePhase1Rule per
   // anchor-class rule with the closure relation as both carry and output.
   const size_t w = anchor.anchor_positions.size();
+  const std::string closure_name(ClosureMaintenance::kClosureName);
   Rule seed_rule;
-  seed_rule.head.predicate = out.closure_name;
+  seed_rule.head.predicate = closure_name;
   Atom seed_atom;
-  seed_atom.predicate = out.seed_name;
+  seed_atom.predicate = std::string(ClosureMaintenance::kSeedName);
   for (size_t i = 0; i < w; ++i) {
     Term v = Term::Var(StrCat("S", i));
     seed_rule.head.args.push_back(v);
@@ -943,8 +922,8 @@ ClosureMaintenance PreparedSeparable::MaintenanceFor(
   seed_rule.body.push_back(Literal::MakeAtom(std::move(seed_atom)));
   out.program.rules.push_back(std::move(seed_rule));
   for (size_t r : ec.rule_indices) {
-    out.program.rules.push_back(MakePhase1Rule(
-        impl_->sep, anchor, r, out.closure_name, out.closure_name));
+    out.program.rules.push_back(
+        MakePhase1Rule(impl_->sep, anchor, r, closure_name, closure_name));
   }
   out.base_relations.assign(bases.begin(), bases.end());
   out.kind = ClosureMaintainability::kMaintainable;
@@ -959,7 +938,9 @@ StatusOr<SeparableRunResult> PreparedSeparable::Execute(
         StrCat("query ", query.ToString(),
                " does not match the prepared selection shape"));
   }
-  Database* db = impl_->db;
+  // Stale support rows would survive an EDB delete: start from the base.
+  Database* db = &impl_->db;
+  db->ClearLocal(/*reload=*/true);
 
   SeparableRunResult result;
   result.answer = Answer(query.arity());
@@ -1034,6 +1015,8 @@ StatusOr<SeparableRunResult> PreparedSeparable::Execute(
         db->counters().novel.load(std::memory_order_relaxed) - novel_before;
     options.trace->Emit(e);
   }
+  // No derived row outlives the request.
+  db->ClearLocal(/*reload=*/false);
   if (!status.ok()) return status;
   SEPREC_RETURN_IF_ERROR(governor.ExitStatus());
   return result;

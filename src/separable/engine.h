@@ -24,6 +24,7 @@
 #define SEPREC_SEPARABLE_ENGINE_H_
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "core/answer.h"
@@ -106,16 +107,18 @@ enum class ClosureMaintainability {
 };
 
 // The closure-as-Datalog-program export for one concrete selection: the
-// program whose least fixpoint (with `seed_name` = {seed_row}) is exactly
-// the phase-1 closure seen_1. `program` is empty for kConstant/kNone.
+// program whose least fixpoint (with kSeedName = {seed_row}) is exactly
+// the phase-1 closure seen_1. `program` is empty for kConstant/kNone. The
+// relation names are fixed: the caller evaluates each program in an
+// overlay of its own.
 struct ClosureMaintenance {
   ClosureMaintainability kind = ClosureMaintainability::kNone;
-  // $<prefix>c(X..) :- $<prefix>seed(X..).
-  // $<prefix>c(body anchor cols) :- $<prefix>c(head anchor cols), <lits>.
+  // $dred_c(X..) :- $dred_seed(X..).
+  // $dred_c(body anchor cols) :- $dred_c(head anchor cols), <lits>.
   //   — one per anchor-class rule (MakePhase1Rule with carry == out).
   Program program;
-  std::string closure_name;  // "$<prefix>c", arity = anchor width
-  std::string seed_name;     // "$<prefix>seed", same arity
+  static constexpr std::string_view kClosureName = "$dred_c";  // anchor width
+  static constexpr std::string_view kSeedName = "$dred_seed";  // same arity
   std::vector<Value> seed_row;  // the query's anchor-position constants
   // Base relations the phase-1 rules read: mutations to any other
   // relation leave the closure untouched.
@@ -128,20 +131,19 @@ struct ClosureMaintenance {
 //
 // Compile instantiates the schema for the selection SHAPE of `query` (its
 // predicate and bound-position set; the constants are ignored) and binds
-// the synthetic rules' plans against `db`, creating persistent
-// '$sep*'-scratch relations there. The object is therefore tied to `db`:
-// it must be destroyed before the database, and the relations its plans
-// bind (EDB, support IDB, scratch) must not be Dropped while it lives —
-// truncation/append are fine, which is what checkpoint rollback does.
+// the synthetic rules' plans. The program's IDB and support relations and
+// the '$'-scratch live in overlays the object owns over `db`, so nothing
+// is written to `db` itself except an empty relation for an EDB predicate
+// that does not exist yet. The object must be destroyed before `db`, and
+// the `db` relations its plans bind must not be Dropped while it lives.
 //
 // Execute answers one concrete selection of that shape. With `reuse`, the
 // phase-1 loop is skipped entirely and seen_1 is seeded from the cached
 // closure; with `capture`, a run whose phase 1 completed (no governor trip
-// during the loop) writes the closure out for caching. Callers that
-// checkpoint the database must call ClearScratch() BEFORE taking the
-// checkpoint: the scratch relations pre-date the checkpoint, so recording
-// them empty makes truncate-to-checkpoint rollback valid whatever the run
-// left behind.
+// during the loop) writes the closure out for caching. Execute empties the
+// owned relations on entry (stale support rows would otherwise survive an
+// EDB delete) and again before returning, so no derived row outlives a
+// request.
 //
 // Not thread-safe; the service serialises Execute with every other
 // database writer.
@@ -157,27 +159,21 @@ class PreparedSeparable {
   PreparedSeparable& operator=(const PreparedSeparable&) = delete;
 
   // `query` must have the predicate and bound-position set given at
-  // Compile time. Support predicates are re-materialised first (the
-  // service rolls them back after every request).
+  // Compile time. Support predicates are re-materialised first.
   StatusOr<SeparableRunResult> Execute(const Atom& query,
                                        const FixpointOptions& options = {},
                                        const Phase1Closure* reuse = nullptr,
                                        Phase1Closure* capture = nullptr);
-
-  // Empties the persistent scratch relations (and staging sinks).
-  void ClearScratch();
 
   // True when `query` matches the compiled shape.
   bool Matches(const Atom& query) const;
 
   // Classifies how the phase-1 closure for `query` (which must match the
   // compiled shape) can be maintained incrementally and, when
-  // kMaintainable, builds the closure program under `prefix` (the caller's
-  // unique namespace, e.g. "$dred7_"). Interns the query's symbol
+  // kMaintainable, builds the closure program. Interns the query's symbol
   // constants so seed_row holds concrete Values. Pure construction: no
   // relations are created — feed the program to IncrementalEngine::Create.
-  ClosureMaintenance MaintenanceFor(const Atom& query,
-                                    const std::string& prefix) const;
+  ClosureMaintenance MaintenanceFor(const Atom& query) const;
 
  private:
   struct Impl;

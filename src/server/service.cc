@@ -1,6 +1,5 @@
 #include "server/service.h"
 
-#include <atomic>
 #include <fstream>
 #include <istream>
 #include <utility>
@@ -66,9 +65,6 @@ struct QueryService::ProcessorEntry {
       : text(std::move(t)), qp(std::move(p)), queries(std::move(q)) {}
 };
 
-// INVARIANT: destruction mutates the Database (the PreparedQuery's
-// SchemaRunner drops its $sep scratch relations), so every
-// shared_ptr<PlanEntry> must release its reference while holding db_mu_.
 struct QueryService::PlanEntry {
   // Keeps the processor alive while this plan exists: PreparedQuery holds
   // a raw pointer into it.
@@ -80,11 +76,9 @@ struct QueryService::PlanEntry {
       : owner(std::move(o)), prepared(std::move(p)) {}
 };
 
-// INVARIANT: destruction can mutate the Database — a maintainable entry
-// owns an IncrementalEngine plus the '$dred*' closure/seed relations it
-// patches, all dropped here — so every shared_ptr<ClosureEntry> must
-// release its reference while holding db_mu_ (same contract as PlanEntry).
 struct QueryService::ClosureEntry {
+  explicit ClosureEntry(Database* db) : scratch(db) {}
+
   Phase1Closure closure;
   uint64_t tick = 0;
 
@@ -96,11 +90,13 @@ struct QueryService::ClosureEntry {
   // the entry's cache key, so a surviving entry is re-keyed after a
   // mutation by rebuilding the map.
   std::string base_key;
+  // The closure program's relations ($dred_c, the maintained seen_1
+  // extent; $dred_seed; the engine's deltas), private to this entry.
+  // Declared before `engine`, whose plans bind them, so the engine is
+  // destroyed first.
+  Database scratch;
   std::unique_ptr<IncrementalEngine> engine;  // kMaintainable only
-  std::string closure_rel;  // "$dred<n>_c": the maintained seen_1 extent
-  std::string seed_rel;     // "$dred<n>_seed": exactly the selection row
   std::vector<std::string> base_relations;  // what the closure reads
-  Database* db = nullptr;   // set iff engine-backed relations exist
 
   bool maintainable() const { return engine != nullptr; }
   bool Reads(std::string_view relation) const {
@@ -109,31 +105,12 @@ struct QueryService::ClosureEntry {
     }
     return false;
   }
-
-  ~ClosureEntry() {
-    if (db == nullptr) return;
-    // The engine's compiled plans bind the delta relations; tear the
-    // engine down before dropping them out from under it.
-    std::vector<std::string> scratch = engine->ScratchRelationNames();
-    engine.reset();
-    for (const std::string& name : scratch) db->Drop(name);
-    db->Drop(closure_rel);
-    db->Drop(seed_rel);
-  }
 };
 
 QueryService::QueryService(Database* db, ServiceOptions options)
     : db_(db), options_(std::move(options)) {}
 
-QueryService::~QueryService() {
-  // Plan entries drop their compiled schemas' scratch relations from the
-  // database on destruction; serialise that with any straggler.
-  std::lock_guard<std::mutex> db_lock(db_mu_);
-  std::unique_lock<std::shared_mutex> cache_lock(cache_mu_);
-  closures_.clear();
-  plans_.clear();
-  processors_.clear();
-}
+QueryService::~QueryService() = default;
 
 void QueryService::TraceCache(std::string_view cache, std::string_view what,
                               std::string_view key) {
@@ -274,9 +251,9 @@ StatusOr<std::vector<QueryOutcome>> QueryService::Execute(
       std::lock_guard<std::mutex> db_lock(db_mu_);
       Status run = [&]() -> Status {
         if (plan == nullptr) {
-          // Compile: the per-shape cost. Prepare touches the database
-          // (pre-creates IDB relations, compiles and binds rule plans), so
-          // it runs under the database mutex.
+          // Compile: the per-shape cost. Prepare binds rule plans to the
+          // shared relations (creating an empty one for an EDB predicate
+          // not loaded yet), so it runs under the database mutex.
           StatusOr<PreparedQuery> prepared = entry->qp.Prepare(
               query, db_, request.strategy, options_.parallel,
               /*run_pipeline=*/request.optimize);
@@ -325,7 +302,7 @@ StatusOr<std::vector<QueryOutcome>> QueryService::Execute(
                 if (it->second->tick < victim->second->tick) victim = it;
               }
               TraceCache("plan", "evict", victim->first);
-              plans_.erase(victim);  // schema scratch drops under db_mu_
+              plans_.erase(victim);
             }
             plans_[plan_key] = plan;
           }
@@ -383,12 +360,12 @@ StatusOr<std::vector<QueryOutcome>> QueryService::Execute(
         // does when the phase-1 loop drained without a governor stop).
         if (try_capture && !captured.rows.empty() && !out.result.partial &&
             out.result.strategy == Strategy::kSeparable) {
-          auto centry = std::make_shared<ClosureEntry>();
+          auto centry = std::make_shared<ClosureEntry>(db_);
           centry->closure = std::move(captured);
           captured = Phase1Closure();
           centry->base_key = closure_base;
           // Classify the entry for incremental maintenance while we still
-          // hold db_mu_ (it creates and seeds the '$dred*' relations).
+          // hold db_mu_ (its plans bind the shared EDB relations).
           AttachMaintenance(plan->prepared, query, centry.get());
           std::unique_lock<std::shared_mutex> lock(cache_mu_);
           centry->tick = ++lru_tick_;
@@ -407,18 +384,6 @@ StatusOr<std::vector<QueryOutcome>> QueryService::Execute(
         }
         return Status::OK();
       }();
-      // ~PlanEntry -> ~PreparedQuery -> ~SchemaRunner drops the compiled
-      // schema's $sep scratch relations from the Database, so the LAST
-      // shared_ptr<PlanEntry> release must happen under db_mu_. Every
-      // cache-side release (evict, overwrite, purge, ~QueryService) holds
-      // it; this reset covers the local reference, which is the last one
-      // whenever the plan never entered the cache ("cache":false,
-      // max_prepared == 0, an error return above) or was displaced while
-      // this query ran. ~ClosureEntry has the same contract (it drops the
-      // maintenance engine's '$dred*'/'$inc*' relations), so the reused
-      // entry's local reference releases here too.
-      plan.reset();
-      reuse_entry.reset();
       if (!run.ok()) return run;
     }  // db_mu_ released
 
@@ -575,7 +540,7 @@ StatusOr<size_t> QueryService::ApplyLocked(const TupleBatch& batch) {
     // The apply bumped the generation: every cached key is stale. Rebuild
     // the map — surviving entries (data-independent kConstant, patched
     // kMaintainable) re-key onto the new generation; everything else is
-    // swept (destructors run under db_mu_, which we hold).
+    // swept.
     const uint64_t gen = db_->generation();
     std::unique_lock<std::shared_mutex> lock(cache_mu_);
     std::map<std::string, std::shared_ptr<ClosureEntry>> survivors;
@@ -596,10 +561,11 @@ StatusOr<size_t> QueryService::ApplyLocked(const TupleBatch& batch) {
         continue;
       }
       if (entry->maintainable() && entry->Reads(batch.relation)) {
-        // The engine patched "$dred<n>_c" in place; refresh the cached
-        // row vector that Execute seeds phase 1 from.
+        // The engine patched $dred_c in place; refresh the cached row
+        // vector that Execute seeds phase 1 from.
         entry->closure.rows.clear();
-        const Relation* c = db_->Find(entry->closure_rel);
+        const Relation* c =
+            entry->scratch.Find(ClosureMaintenance::kClosureName);
         c->ForEachRow([&](Row r) {
           entry->closure.rows.emplace_back(r.begin(), r.end());
         });
@@ -647,28 +613,20 @@ void QueryService::AttachMaintenance(const PreparedQuery& prepared,
   const PreparedSeparable* schema = prepared.compiled_schema();
   if (schema == nullptr) return;  // kind stays kNone
 
-  // Process-unique prefix: entries come and go independently, and two
-  // entries for the same selection shape (different constants) each get
-  // their own closure program over their own relations.
-  static std::atomic<uint64_t> next_maintenance_id{0};
-  const std::string prefix = StrCat(
-      "$dred", next_maintenance_id.fetch_add(1, std::memory_order_relaxed),
-      "_");
-  ClosureMaintenance m = schema->MaintenanceFor(query, prefix);
+  ClosureMaintenance m = schema->MaintenanceFor(query);
   entry->kind = m.kind;
   if (m.kind != ClosureMaintainability::kMaintainable) return;
 
+  // The seed relation is the closure program's only non-IDB predicate
+  // that is not stored data: create it in the entry's overlay before the
+  // engine binds the base relations.
+  Relation* seed = *entry->scratch.CreateRelation(
+      ClosureMaintenance::kSeedName, m.seed_row.size());
   StatusOr<IncrementalEngine> engine =
-      IncrementalEngine::Create(std::move(m.program), db_);
+      IncrementalEngine::Create(std::move(m.program), &entry->scratch);
   if (!engine.ok()) {
     // Defensive: an unmaintainable closure program degrades the entry to
     // invalidation-on-mutation, never fails the request.
-    entry->kind = ClosureMaintainability::kNone;
-    return;
-  }
-  Relation* seed = db_->Find(m.seed_name);
-  Relation* closure = db_->Find(m.closure_name);
-  if (seed == nullptr || closure == nullptr) {
     entry->kind = ClosureMaintainability::kNone;
     return;
   }
@@ -677,15 +635,13 @@ void QueryService::AttachMaintenance(const PreparedQuery& prepared,
   // exactly these rules), so populate the relations directly instead of
   // re-deriving them with Initialize().
   seed->Insert(Row(m.seed_row.data(), m.seed_row.size()));
+  Relation* closure = entry->scratch.Find(ClosureMaintenance::kClosureName);
   for (const std::vector<Value>& row : entry->closure.rows) {
     closure->Insert(Row(row.data(), row.size()));
   }
   entry->engine =
       std::make_unique<IncrementalEngine>(std::move(engine).value());
-  entry->closure_rel = std::move(m.closure_name);
-  entry->seed_rel = std::move(m.seed_name);
   entry->base_relations = std::move(m.base_relations);
-  entry->db = db_;
 }
 
 StatusOr<CheckpointInfo> QueryService::Checkpoint() {
@@ -730,19 +686,15 @@ ServiceStats QueryService::stats() const {
 }
 
 void QueryService::PurgeClosures() {
-  // db_mu_ first: maintainable entries drop their '$dred*'/'$inc*'
-  // relations from the database on destruction.
-  std::lock_guard<std::mutex> db_lock(db_mu_);
   std::unique_lock<std::shared_mutex> lock(cache_mu_);
   closures_.clear();
   TraceCache("closure", "purge", "explicit");
 }
 
 void QueryService::PurgeAll() {
-  std::lock_guard<std::mutex> db_lock(db_mu_);
   std::unique_lock<std::shared_mutex> lock(cache_mu_);
   closures_.clear();
-  plans_.clear();  // compiled schemas drop their scratch under db_mu_
+  plans_.clear();
   processors_.clear();
   TraceCache("all", "purge", "explicit");
 }

@@ -2,11 +2,12 @@
 // long-lived service (DESIGN.md section 10).
 //
 // The service owns nothing but caches: the Database is the caller's, and
-// every request executes against it with per-request isolation (the
-// checkpoint is rolled back even on success, so one program's derived
-// tuples never leak into another's evaluation). What a request pays for is
-// therefore parse + detection + plan compilation + phase 1 + phase 2; the
-// three cache layers peel those costs off front to back:
+// no request writes to it. Each evaluation reads the shared relations
+// through a private overlay — the attempt's own, or the one a compiled
+// schema or a cached closure owns — so one program's derived tuples never
+// leak into another's evaluation. What a request pays for is therefore
+// parse + detection + plan compilation + phase 1 + phase 2; the three
+// cache layers peel those costs off front to back:
 //
 //   processor cache   program-text fingerprint -> parsed + analysed
 //                     QueryProcessor (detection runs once per program)
@@ -29,7 +30,9 @@
 // reader/writer); evaluation, schema compilation, and Load serialise on
 // db_mu_ (the storage layer has one-mutator/many-reader semantics); answer
 // rendering runs after db_mu_ is released (SymbolTable has its own
-// reader/writer guard). Per-request ExecutionLimits build a private
+// reader/writer guard). Cached plans and closures may be released on any
+// thread without db_mu_: their relations live in their own overlays and
+// never in the shared catalog. Per-request ExecutionLimits build a private
 // governor per request, so one request tripping its budget cannot degrade
 // another.
 #ifndef SEPREC_SERVER_SERVICE_H_
@@ -224,8 +227,8 @@ class QueryService {
   ServiceOptions options_;
 
   // Serialises evaluation, schema compilation, and loads (the storage
-  // layer's single-mutator model). Held while touching db_ in any way
-  // that can write; NOT held while rendering answers.
+  // layer's single-mutator model, and the cached plans and closures that
+  // are driven against it). NOT held while rendering answers.
   std::mutex db_mu_;
 
   // Guards the three cache maps and the stats counters.

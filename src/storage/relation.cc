@@ -186,7 +186,6 @@ size_t Relation::EraseRows(const Relation& to_remove) {
       dead_[*row_set_.begin()] = true;
       row_set_.clear();
       num_rows_ = 0;
-      ++erase_epoch_;
       ++mutation_epoch_;
       return 1;
     }
@@ -212,35 +211,8 @@ size_t Relation::EraseRows(const Relation& to_remove) {
       ++removed;
     }
   });
-  if (removed > 0) {
-    ++erase_epoch_;
-    ++mutation_epoch_;
-  }
+  if (removed > 0) ++mutation_epoch_;
   return removed;
-}
-
-void Relation::TruncateToSlots(size_t slots) {
-  SEPREC_CHECK(slots <= num_slots_);
-  // Truncation can only shed delta rows; a base segment is not an append
-  // and cannot be rolled back (AttachBaseSegment bumps erase_epoch_ so
-  // checkpoints spanning an attach refuse rollback before reaching here).
-  SEPREC_CHECK(slots >= base_slots_);
-  if (slots == num_slots_) return;
-  // Unregister the dropped slots while their data is still addressable
-  // (the row-set hashes by slot id into data_).
-  for (size_t slot = slots; slot < num_slots_; ++slot) {
-    if (!dead_[slot]) {
-      row_set_.erase(static_cast<uint32_t>(slot));
-      --num_rows_;
-    }
-  }
-  size_t removed = num_slots_ - slots;
-  data_.resize((slots - base_slots_) * arity_);
-  dead_.resize(slots);
-  num_slots_ = slots;
-  // Indexes hold stale slot ids; drop them and rebuild lazily.
-  indexes_.clear();
-  if (accountant_ != nullptr) accountant_->Release(removed * RowBytes());
 }
 
 Row Relation::BaseRow(size_t slot) const {
@@ -260,10 +232,7 @@ void Relation::AttachBaseSegment(
   num_rows_ = base_slots_;
   dead_.assign(base_slots_, false);
   indexes_.clear();
-  if (base_slots_ > 0) {
-    ++mutation_epoch_;
-    ++erase_epoch_;  // checkpoints from before the attach must not roll back
-  }
+  if (base_slots_ > 0) ++mutation_epoch_;
   // No accountant charge — see the header comment on AttachBaseSegment.
 }
 

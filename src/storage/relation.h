@@ -10,7 +10,7 @@
 // maintained incrementally, which is what the fixpoint engines need: they
 // interleave index lookups with inserts every iteration.
 //
-// Thread model: mutation (Insert/Clear/EraseRows/Truncate) is
+// Thread model: mutation (Insert/Clear/EraseRows) is
 // single-threaded, but concurrent READ access — including the lazy index
 // build in GetIndex, which is serialised by an internal mutex — is safe
 // while no mutator runs. The parallel evaluation paths rely on exactly
@@ -150,17 +150,10 @@ class Relation {
   // Number of storage slots (live + tombstoned). Equal to size() unless
   // EraseRows was used.
   size_t slots() const { return num_slots_; }
-  // Counts EraseRows calls that removed at least one row. TruncateToSlots
-  // cannot undo a tombstoning erase, so DatabaseCheckpoint records this to
-  // refuse rollback across the DRed deletion path.
-  uint64_t erase_epoch() const { return erase_epoch_; }
   // Counts content mutations that can alias a (size, slots) fingerprint:
   // erases and non-empty Clears. StatsCatalog folds it into its entry
   // fingerprint so an erase/clear followed by inserts restoring the same
-  // extent cannot serve stale per-column statistics. TruncateToSlots does
-  // not bump it — truncation restores an exact earlier content prefix, and
-  // it runs on every checkpoint rollback (bumping would thrash the stats
-  // cache once per governed query attempt).
+  // extent cannot serve stale per-column statistics.
   uint64_t mutation_epoch() const { return mutation_epoch_; }
   bool IsLive(size_t slot) const {
     SEPREC_DCHECK(slot < num_slots_);
@@ -214,13 +207,6 @@ class Relation {
   // of rows removed.
   size_t EraseRows(const Relation& to_remove);
 
-  // Discards every slot with id >= `slots`, live or tombstoned, restoring
-  // the relation to an earlier append point. This is the rollback primitive
-  // of DatabaseCheckpoint: the evaluators only ever append, so truncating
-  // to the checkpointed slot count undoes their writes exactly. Indexes are
-  // dropped (rebuilt lazily). `slots` must not exceed slots().
-  void TruncateToSlots(size_t slots);
-
   // Seats an immutable, mmap-backed segment as this relation's base
   // extent. The relation must be empty (slots() == 0) and of matching
   // non-zero arity. Base rows occupy slots [0, base->rows()) in the
@@ -228,9 +214,7 @@ class Relation {
   // delta layer above them, and EraseRows tombstones base slots like any
   // other. The base is deliberately NOT charged to the accountant: its
   // bytes are file-backed page cache, not query heap, so only the delta
-  // counts against ExecutionLimits::max_bytes. Bumps mutation_epoch_ and
-  // erase_epoch_ (a checkpoint from before the attach must refuse
-  // rollback — truncation cannot detach a base).
+  // counts against ExecutionLimits::max_bytes. Bumps mutation_epoch_.
   void AttachBaseSegment(std::shared_ptr<const RelationSegment> base);
 
   // The attached base segment, or nullptr. Shared so compaction can hand
@@ -284,7 +268,6 @@ class Relation {
   size_t arity_;
   size_t num_rows_ = 0;   // live rows
   size_t num_slots_ = 0;  // live + tombstoned
-  uint64_t erase_epoch_ = 0;     // effective EraseRows calls
   uint64_t mutation_epoch_ = 0;  // erases + non-empty Clears
   std::vector<Value> data_;  // row-major, num_slots_ * arity_ values
   std::vector<bool> dead_;   // per slot

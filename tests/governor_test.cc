@@ -182,90 +182,6 @@ TEST(MemoryAccountant, DroppingRelationReleasesBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// DatabaseCheckpoint unit tests.
-
-TEST(DatabaseCheckpoint, RollbackDropsNewAndTruncatesGrown) {
-  Database db;
-  Relation* r = *db.CreateRelation("r", 1);
-  r->Insert({Value::Int(1)});
-  r->Insert({Value::Int(2)});
-  {
-    DatabaseCheckpoint checkpoint(&db);
-    r->Insert({Value::Int(3)});
-    Relation* s = *db.CreateRelation("s", 1);
-    s->Insert({Value::Int(9)});
-    // Destructor rolls back.
-  }
-  EXPECT_EQ(db.Find("r")->size(), 2u);
-  const std::vector<Value> three = {Value::Int(3)};
-  EXPECT_FALSE(db.Find("r")->Contains(Row(three.data(), 1)));
-  EXPECT_EQ(db.Find("s"), nullptr);
-}
-
-TEST(DatabaseCheckpoint, CommitKeepsChanges) {
-  Database db;
-  Relation* r = *db.CreateRelation("r", 1);
-  r->Insert({Value::Int(1)});
-  {
-    DatabaseCheckpoint checkpoint(&db);
-    r->Insert({Value::Int(2)});
-    ASSERT_TRUE(db.CreateRelation("s", 1).ok());
-    checkpoint.Commit();
-  }
-  EXPECT_EQ(db.Find("r")->size(), 2u);
-  EXPECT_NE(db.Find("s"), nullptr);
-}
-
-TEST(DatabaseCheckpoint, RollbackAcrossEraseRowsIsFailedPrecondition) {
-  // Regression: TruncateToSlots cannot resurrect tombstones, so a rollback
-  // spanning an EraseRows (the DRed deletion path) would silently lose the
-  // erased-then-kept prefix rows. It must refuse up front instead — and
-  // leave the database untouched, including relations created after the
-  // checkpoint.
-  Database db;
-  Relation* r = *db.CreateRelation("r", 1);
-  r->Insert({Value::Int(1)});
-  r->Insert({Value::Int(2)});
-  DatabaseCheckpoint checkpoint(&db);
-  r->Insert({Value::Int(3)});
-  ASSERT_TRUE(db.CreateRelation("s", 1).ok());
-
-  Relation victims("victims", 1);
-  victims.Insert({Value::Int(1)});
-  ASSERT_EQ(r->EraseRows(victims), 1u);
-
-  Status status = checkpoint.Rollback();
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(status.message().find("EraseRows"), std::string::npos)
-      << status.ToString();
-  // Nothing was truncated or dropped.
-  EXPECT_EQ(db.Find("r")->size(), 2u);  // {2, 3}
-  const std::vector<Value> three = {Value::Int(3)};
-  EXPECT_TRUE(db.Find("r")->Contains(Row(three.data(), 1)));
-  EXPECT_NE(db.Find("s"), nullptr);
-  // A second Rollback on the now-inactive checkpoint is the usual no-op
-  // (and the destructor must not re-attempt and abort).
-  EXPECT_TRUE(checkpoint.Rollback().ok());
-}
-
-TEST(DatabaseCheckpoint, RolledBackRelationStillQueryable) {
-  // After a truncating rollback the hash index must stay consistent:
-  // previously present rows are found, rolled-back rows can be re-inserted.
-  Database db;
-  Relation* r = *db.CreateRelation("r", 1);
-  r->Insert({Value::Int(1)});
-  {
-    DatabaseCheckpoint checkpoint(&db);
-    for (int64_t i = 2; i < 50; ++i) r->Insert({Value::Int(i)});
-  }
-  ASSERT_EQ(r->size(), 1u);
-  const std::vector<Value> one = {Value::Int(1)};
-  EXPECT_TRUE(r->Contains(Row(one.data(), 1)));
-  EXPECT_TRUE(r->Insert({Value::Int(2)}));
-  EXPECT_EQ(r->size(), 2u);
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end: budgets through the QueryProcessor (partial contract).
 
 TEST(Governor, DeadlineYieldsPartialResult) {

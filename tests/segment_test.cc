@@ -359,31 +359,6 @@ TEST_F(SegmentTest, DeltaLayerInsertEraseReinsert) {
   EXPECT_EQ(t->delta_rows(), 2u);
 }
 
-TEST_F(SegmentTest, TruncateRestoresDeltaAppendPoint) {
-  Database db;
-  Relation* rel = *db.CreateRelation("t", 1);
-  for (int i = 0; i < 10; ++i) rel->Insert({Value::Int(i)});
-  const std::string path = Path("db.v3");
-  ASSERT_TRUE(SaveSnapshotV3File(db, path).ok());
-  Database loaded;
-  ASSERT_TRUE(LoadSnapshotV3File(&loaded, path).ok());
-  Relation* t = loaded.Find("t");
-
-  const size_t mark = t->slots();
-  ASSERT_TRUE(t->Insert({Value::Int(100)}));
-  ASSERT_TRUE(t->Insert({Value::Int(101)}));
-  ASSERT_EQ(t->slots(), mark + 2);
-  // Rollback of an evaluator's appends: truncation may cut the delta
-  // back to any point at or above the immutable base.
-  t->TruncateToSlots(mark);
-  EXPECT_EQ(t->size(), 10u);
-  EXPECT_EQ(t->delta_rows(), 0u);
-  const Value gone = Value::Int(100);
-  const Value kept = Value::Int(3);
-  EXPECT_FALSE(t->Contains(Row(&gone, 1)));
-  EXPECT_TRUE(t->Contains(Row(&kept, 1)));
-}
-
 TEST_F(SegmentTest, OrderedCursorMergesBaseAndDelta) {
   Database db;
   Relation* rel = *db.CreateRelation("t", 2);

@@ -22,6 +22,7 @@
 #include "server/service.h"
 #include "storage/database.h"
 #include "storage/recovery.h"
+#include "util/failpoint.h"
 #include "util/string_util.h"
 
 namespace seprec {
@@ -109,12 +110,10 @@ TEST(QueryService, AnswersMatchOneShot) {
   EXPECT_EQ(out.result.strategy, Strategy::kSeparable);
   EXPECT_EQ(out.tuples,
             (std::vector<std::string>{"(a, b)", "(a, c)", "(a, d)"}));
-  // The service always rolls its checkpoint back: derived tuples must not
-  // persist into the shared database. (The relation itself survives —
-  // Prepare pre-creates IDB relations for plan binding — but empty.)
-  const Relation* tc = db.Find("tc");
-  ASSERT_NE(tc, nullptr);
-  EXPECT_TRUE(tc->empty());
+  // The service evaluates into private overlays: derived relations never
+  // reach the shared database, not even empty.
+  EXPECT_EQ(db.Find("tc"), nullptr);
+  EXPECT_TRUE(db.RelationNames().empty());
 }
 
 TEST(QueryService, PlanCacheHitSkipsDetectionAndCompile) {
@@ -318,6 +317,154 @@ TEST(QueryService, OversizedDeltaFallsBackToInvalidation) {
   EXPECT_FALSE((*after)[0].closure_cache_hit);
   EXPECT_EQ((*after)[0].tuples, (std::vector<std::string>{"(c, d)"}));
   EXPECT_GE(service.stats().closure_drops, 1u);
+}
+
+TEST(QueryService, SessionLeavesOnlyTheStoredRelations) {
+  // Isolation by construction: cached closures, a Magic-strategy program,
+  // a strategy fallback and a budget-tripped request all evaluate into
+  // private overlays, so the shared catalog ends the session holding
+  // exactly the loaded relations at their loaded sizes.
+  Failpoints::DisarmAll();
+  Database db;
+  QueryService service(&db);
+  std::string chain;
+  for (int i = 0; i < 40; ++i) chain += StrCat("v", i, "\tv", i + 1, "\n");
+  std::istringstream edges(chain);
+  ASSERT_TRUE(service.LoadTsv("edge", edges).ok());
+  std::istringstream up("a\tp\n");
+  std::istringstream flat("p\tq\na\tc\n");
+  std::istringstream down("q\tb\n");
+  ASSERT_TRUE(service.LoadTsv("up", up).ok());
+  ASSERT_TRUE(service.LoadTsv("flat", flat).ok());
+  ASSERT_TRUE(service.LoadTsv("down", down).ok());
+  const std::vector<std::string> names = db.RelationNames();
+  std::vector<size_t> sizes;
+  for (const std::string& name : names) sizes.push_back(db.Find(name)->size());
+
+  // Nine maintainable closures: tc(X, vK) anchors on a moving class over
+  // the loaded edge relation.
+  for (int k = 1; k <= 9; ++k) {
+    auto out = service.Execute(PureTcRequest(StrCat("tc(X, v", k, ")")));
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_TRUE((*out)[0].closure_stored);
+    EXPECT_EQ((*out)[0].tuples.size(), static_cast<size_t>(k));
+  }
+  // An insert/delete pair patches every one of them through DRed and
+  // leaves the stored extent as it was.
+  std::istringstream add("v0\tw\n");
+  ASSERT_TRUE(service.ApplyTsv("edge", BatchOp::kInsert, add).ok());
+  std::istringstream remove("v0\tw\n");
+  ASSERT_TRUE(service.ApplyTsv("edge", BatchOp::kDelete, remove).ok());
+  EXPECT_EQ(service.stats().closure_patches, 18u);
+  EXPECT_EQ(service.stats().closure_drops, 0u);
+
+  // Same-generation is not separable: Magic Sets answers it.
+  ServiceRequest sg;
+  sg.program =
+      "sg(X, Y) :- up(X, U) & sg(U, V) & down(V, Y).\n"
+      "sg(X, Y) :- flat(X, Y).\n";
+  sg.query = "sg(a, Y)";
+  auto magic = service.Execute(sg);
+  ASSERT_TRUE(magic.ok()) << magic.status().ToString();
+  EXPECT_EQ((*magic)[0].result.strategy, Strategy::kMagic);
+  EXPECT_EQ((*magic)[0].tuples,
+            (std::vector<std::string>{"(a, b)", "(a, c)"}));
+
+  // A failed separable attempt falls back to Magic Sets.
+  {
+    ScopedFailpoint fail_separable("compiler.separable");
+    auto fallback = service.Execute(PureTcRequest("tc(X, v20)"));
+    ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+    EXPECT_EQ((*fallback)[0].result.strategy, Strategy::kMagic);
+    ASSERT_EQ((*fallback)[0].result.diagnostics.size(), 1u);
+    EXPECT_EQ((*fallback)[0].result.diagnostics[0].code, "G001");
+    EXPECT_EQ((*fallback)[0].tuples.size(), 20u);
+  }
+
+  // A budget trip yields a partial answer.
+  ServiceRequest starved = PureTcRequest("tc(X, v39)");
+  starved.limits.max_iterations = 2;
+  auto partial = service.Execute(starved);
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_TRUE((*partial)[0].result.partial);
+
+  EXPECT_GE(service.stats().closures, 9u);
+  EXPECT_EQ(db.RelationNames(), names);
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(db.Find(names[i])->size(), sizes[i]) << names[i];
+  }
+}
+
+TEST(QueryService, DerivingIntoAStoredRelationLeavesItUntouched) {
+  Database db;
+  QueryService service(&db);
+  std::istringstream edges("a\tb\nb\tc\nc\td\n");
+  ASSERT_TRUE(service.LoadTsv("edge", edges).ok());
+  std::istringstream stored_tc("x\ty\n");
+  ASSERT_TRUE(service.LoadTsv("tc", stored_tc).ok());
+  std::istringstream stored_hop("d\te\n");
+  ASSERT_TRUE(service.LoadTsv("hop", stored_hop).ok());
+
+  // Semi-naive derives tc on top of its stored row.
+  auto all = service.Execute(PureTcRequest("tc(X, Y)"));
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ((*all)[0].tuples,
+            (std::vector<std::string>{"(a, b)", "(a, c)", "(a, d)", "(b, c)",
+                                      "(b, d)", "(c, d)", "(x, y)"}));
+  EXPECT_EQ(db.Find("tc")->size(), 1u);
+
+  // A compiled separable schema whose support predicate `hop` is also
+  // stored: the support relation starts from the stored row every run.
+  ServiceRequest via_hop;
+  via_hop.program =
+      "hop(X, Y) :- edge(X, Y).\n"
+      "tc(X, Y) :- hop(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), hop(Z, Y).\n";
+  via_hop.query = "tc(a, Y)";
+  const std::vector<std::string> expected = {"(a, b)", "(a, c)", "(a, d)",
+                                             "(a, e)"};
+  for (int run = 0; run < 2; ++run) {
+    auto out = service.Execute(via_hop);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ((*out)[0].result.strategy, Strategy::kSeparable);
+    EXPECT_EQ((*out)[0].tuples, expected);
+    EXPECT_EQ(db.Find("hop")->size(), 1u);
+  }
+  // A later load into the stored relation reaches the cached plan.
+  std::istringstream more_hop("e\tf\n");
+  ASSERT_TRUE(service.LoadTsv("hop", more_hop).ok());
+  auto grown = service.Execute(via_hop);
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  EXPECT_TRUE((*grown)[0].plan_cache_hit);
+  EXPECT_EQ((*grown)[0].tuples,
+            (std::vector<std::string>{"(a, b)", "(a, c)", "(a, d)", "(a, e)",
+                                      "(a, f)"}));
+  EXPECT_EQ(db.Find("hop")->size(), 2u);
+  EXPECT_EQ(db.Find("tc")->size(), 1u);
+  EXPECT_EQ(db.RelationNames(),
+            (std::vector<std::string>{"edge", "hop", "tc"}));
+}
+
+TEST(QueryService, PlanCachedBeforeFirstLoadSeesLaterRows) {
+  // The plan binds `edge` before it exists; the binding creates the empty
+  // relation in the shared database, which the load then fills.
+  ServiceOptions options;
+  options.max_closures = 0;
+  Database db;
+  QueryService service(&db, options);
+  auto before = service.Execute(PureTcRequest("tc(X, d)"));
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_TRUE((*before)[0].tuples.empty());
+
+  std::istringstream rows("a\tb\nb\tc\nc\td\n");
+  ASSERT_TRUE(service.LoadTsv("edge", rows).ok());
+  auto after = service.Execute(PureTcRequest("tc(X, d)"));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE((*after)[0].plan_cache_hit);
+  EXPECT_EQ((*after)[0].result.strategy, Strategy::kSeparable);
+  EXPECT_EQ((*after)[0].tuples,
+            (std::vector<std::string>{"(a, d)", "(b, d)", "(c, d)"}));
+  EXPECT_EQ(db.RelationNames(), std::vector<std::string>{"edge"});
 }
 
 TEST(QueryService, NoCacheBypassesPlanAndClosureLayers) {

@@ -331,7 +331,91 @@ TEST(Database, RelationNamesSortedAndTotals) {
   EXPECT_EQ(db.TotalTuples(), 3u);
 }
 
-// ---- Concurrency and rollback primitives ---------------------------------
+// ---- Overlays ---------------------------------------------------------------
+
+TEST(Database, OverlayReadsThroughAndWritesLocally) {
+  Database db;
+  ASSERT_TRUE(db.AddFact("e", {"a", "b"}).ok());
+  const uint64_t generation = db.generation();
+  const size_t baseline = db.accountant().bytes();
+  {
+    Database overlay(&db);
+    EXPECT_EQ(overlay.Find("e"), db.Find("e"));
+    EXPECT_EQ(&overlay.symbols(), &db.symbols());
+    // Creating a relation the base holds copies its rows up first.
+    Relation* local = *overlay.CreateRelation("e", 2);
+    EXPECT_NE(local, db.Find("e"));
+    EXPECT_EQ(overlay.Find("e"), local);
+    EXPECT_EQ(local->size(), 1u);
+    EXPECT_FALSE(overlay.CreateRelation("e", 3).ok());
+    local->Insert({Value::Int(1), Value::Int(2)});
+    (*overlay.CreateRelation("t", 1))->Insert({Value::Int(3)});
+    EXPECT_EQ(overlay.RelationNames(), (std::vector<std::string>{"e", "t"}));
+    // The overlay charges the root's accountant.
+    EXPECT_GT(db.accountant().bytes(), baseline);
+    EXPECT_EQ(db.RelationNames(), std::vector<std::string>{"e"});
+    EXPECT_EQ(db.Find("e")->size(), 1u);
+  }
+  EXPECT_EQ(db.RelationNames(), std::vector<std::string>{"e"});
+  EXPECT_EQ(db.Find("e")->size(), 1u);
+  EXPECT_EQ(db.accountant().bytes(), baseline);
+  EXPECT_EQ(db.generation(), generation);
+}
+
+TEST(Database, OverlayBindCreatesMissingRelationsInTheRoot) {
+  Database db;
+  Database outer(&db);
+  Database inner(&outer);
+  Relation* edge = *inner.Bind("edge", 2);
+  EXPECT_EQ(db.Find("edge"), edge);
+  EXPECT_EQ(*outer.Bind("edge", 2), edge);
+  EXPECT_FALSE(inner.Bind("edge", 3).ok());
+  // A local relation wins over the root's.
+  Relation* shadow = *outer.CreateRelation("edge", 2);
+  EXPECT_EQ(*inner.Bind("edge", 2), shadow);
+}
+
+TEST(Database, OverlayClearLocalReloadsShadowedRows) {
+  Database db;
+  ASSERT_TRUE(db.AddFact("e", {"a", "b"}).ok());
+  Database overlay(&db);
+  Relation* local = *overlay.CreateRelation("e", 2);
+  Relation* scratch = *overlay.CreateRelation("$s", 1);
+  local->Insert({Value::Int(1), Value::Int(2)});
+  scratch->Insert({Value::Int(1)});
+  overlay.ClearLocal(/*reload=*/false);
+  EXPECT_TRUE(local->empty());
+  EXPECT_TRUE(scratch->empty());
+  // Reloading picks up what the base holds now.
+  ASSERT_TRUE(db.AddFact("e", {"x", "y"}).ok());
+  overlay.ClearLocal(/*reload=*/true);
+  EXPECT_EQ(local->size(), 2u);
+  EXPECT_TRUE(scratch->empty());
+  EXPECT_EQ(overlay.Find("e"), local);
+}
+
+TEST(Database, OverlayCommitMovesDerivedRelations) {
+  Database db;
+  ASSERT_TRUE(db.AddFact("e", {"a", "b"}).ok());
+  Relation* stored = db.Find("e");
+  const uint64_t generation = db.generation();
+  {
+    Database overlay(&db);
+    (*overlay.CreateRelation("e", 2))->Insert({Value::Int(1), Value::Int(2)});
+    (*overlay.CreateRelation("t", 1))->Insert({Value::Int(3)});
+    ASSERT_TRUE(overlay.CreateRelation("$delta", 1).ok());
+    overlay.CommitToBase();
+  }
+  // A stored relation is extended in place; new ones move in; '$' scratch
+  // is discarded with the overlay.
+  EXPECT_EQ(db.Find("e"), stored);
+  EXPECT_EQ(stored->size(), 2u);
+  EXPECT_EQ(db.Find("t")->size(), 1u);
+  EXPECT_EQ(db.RelationNames(), (std::vector<std::string>{"e", "t"}));
+  EXPECT_EQ(db.generation(), generation);
+}
+
+// ---- Concurrency primitives -----------------------------------------------
 
 TEST(SymbolTable, ConcurrentInterningIsConsistent) {
   // Session threads intern overlapping symbol sets while readers resolve
@@ -395,57 +479,6 @@ TEST(ShardedSink, ClearReleasesAccountantCharge) {
   EXPECT_GT(accountant.bytes(), 0u);
   sink.Clear();
   EXPECT_EQ(accountant.bytes(), 0u);
-}
-
-TEST(Relation, TruncateToSlotsRebuildsIndexes) {
-  SymbolTable symbols;
-  Relation rel("r", 2);
-  Value a = symbols.Intern("a");
-  Value b = symbols.Intern("b");
-  Value c = symbols.Intern("c");
-  rel.Insert({a, b});
-  rel.Insert({b, c});
-  // Build an index before the truncation point moves.
-  const Index& index = rel.GetIndex({0});
-  EXPECT_EQ(index.CountMatches(Row(&a, 1)), 1u);
-  const size_t checkpoint = rel.slots();
-
-  rel.Insert({a, c});
-  rel.Insert({c, c});
-  EXPECT_EQ(rel.GetIndex({0}).CountMatches(Row(&a, 1)), 2u);
-
-  rel.TruncateToSlots(checkpoint);
-  EXPECT_EQ(rel.size(), 2u);
-  EXPECT_EQ(rel.slots(), checkpoint);
-  // Indexes were dropped with the truncated slots; the lazy rebuild must
-  // not resurrect rows past the truncation point.
-  EXPECT_EQ(rel.GetIndex({0}).CountMatches(Row(&a, 1)), 1u);
-  EXPECT_EQ(rel.GetIndex({0}).CountMatches(Row(&c, 1)), 0u);
-  EXPECT_FALSE(rel.Contains(Row(std::vector<Value>{a, c}.data(), 2)));
-
-  // Reinserting a truncated row works and the index tracks it again.
-  EXPECT_TRUE(rel.Insert({a, c}));
-  EXPECT_EQ(rel.GetIndex({0}).CountMatches(Row(&a, 1)), 2u);
-}
-
-TEST(Relation, TruncateToSlotsDropsTombstoneState) {
-  SymbolTable symbols;
-  Relation rel("r", 1);
-  Value a = symbols.Intern("a");
-  Value b = symbols.Intern("b");
-  rel.Insert({a});
-  const size_t checkpoint = rel.slots();
-  rel.Insert({b});
-  // Tombstone `a`, then truncate past the erase: the checkpointed slot
-  // stays tombstoned (truncation only removes slots, it does not revive
-  // them) but the later insert goes away.
-  Relation dead("dead", 1);
-  dead.Insert({a});
-  EXPECT_EQ(rel.EraseRows(dead), 1u);
-  rel.TruncateToSlots(checkpoint);
-  EXPECT_EQ(rel.slots(), checkpoint);
-  EXPECT_EQ(rel.size(), 0u);
-  EXPECT_FALSE(rel.Contains(Row(&b, 1)));
 }
 
 }  // namespace
