@@ -46,7 +46,9 @@ bool Value::as_bool(bool fallback) const {
 int64_t Value::as_int(int64_t fallback) const {
   if (const int64_t* i = std::get_if<int64_t>(&v_)) return *i;
   if (const double* d = std::get_if<double>(&v_)) {
-    return static_cast<int64_t>(*d);
+    // Converting a double outside [-2^63, 2^63) is undefined behaviour.
+    constexpr double kTwoTo63 = 9223372036854775808.0;
+    if (*d >= -kTwoTo63 && *d < kTwoTo63) return static_cast<int64_t>(*d);
   }
   return fallback;
 }

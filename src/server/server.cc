@@ -89,6 +89,44 @@ StatusOr<ExecutionLimits> ParseLimits(const json::Value& limits) {
   return out;
 }
 
+// Renders inline `load` rows as TSV for the file reader, so typing matches
+// file loads exactly. A row the reader would split, skip as a blank or
+// '#' comment line, or retype is rejected up front, naming its index.
+StatusOr<std::string> InlineRowsTsv(const json::Array& rows) {
+  std::string tsv;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const json::Array& cells = rows[i].as_array();
+    if (!rows[i].is_array() || cells.empty()) {
+      return InvalidArgumentError(
+          StrCat("rows[", i, "] must be a non-empty array of cells"));
+    }
+    const size_t line_start = tsv.size();
+    for (size_t c = 0; c < cells.size(); ++c) {
+      if (c > 0) tsv += '\t';
+      if (cells[c].is_int()) {
+        tsv += std::to_string(cells[c].as_int());
+      } else if (cells[c].is_string()) {
+        const std::string& text = cells[c].as_string();
+        if (text.find_first_of("\t\n\r") != std::string::npos) {
+          return InvalidArgumentError(
+              StrCat("rows[", i, "][", c,
+                     "] contains a tab, newline or carriage return"));
+        }
+        tsv += text;
+      } else {
+        return InvalidArgumentError(
+            StrCat("rows[", i, "][", c, "] must be a string or an integer"));
+      }
+    }
+    if (tsv.size() == line_start || tsv[line_start] == '#') {
+      return InvalidArgumentError(
+          StrCat("rows[", i, "] would read as a blank or '#' comment line"));
+    }
+    tsv += '\n';
+  }
+  return tsv;
+}
+
 }  // namespace
 
 SocketServer::SocketServer(QueryService* service) : service_(service) {}
@@ -332,23 +370,12 @@ void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
       changed = service_->ApplyTsvFile(relation, batch_op,
                                        req.Get("path").as_string());
     } else if (req.Get("rows").is_array()) {
-      // Inline rows round-trip through the TSV reader so typing (integer
-      // vs symbol columns) matches file loads exactly.
-      std::ostringstream tsv;
-      for (const json::Value& row : req.Get("rows").as_array()) {
-        bool first = true;
-        for (const json::Value& cell : row.as_array()) {
-          if (!first) tsv << '\t';
-          first = false;
-          if (cell.is_string()) {
-            tsv << cell.as_string();
-          } else {
-            tsv << cell.as_int();
-          }
-        }
-        tsv << '\n';
+      StatusOr<std::string> tsv = InlineRowsTsv(req.Get("rows").as_array());
+      if (!tsv.ok()) {
+        SendError(fd, wmu, id, tsv.status());
+        return;
       }
-      std::istringstream in(tsv.str());
+      std::istringstream in(std::move(*tsv));
       changed = service_->ApplyTsv(relation, batch_op, in);
     } else {
       SendError(fd, wmu, id,

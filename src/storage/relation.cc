@@ -91,12 +91,7 @@ bool Relation::Insert(Row row) {
   if (counting) {
     counters_->attempts.fetch_add(1, std::memory_order_relaxed);
   }
-  // Base dedup by binary search (the row-set below covers only the delta
-  // layer — populating it with the whole base would decode every page).
-  if (base_ != nullptr) {
-    uint64_t idx = base_->Find(row.data(), row.size());
-    if (idx < base_->rows() && !dead_[idx]) return false;
-  }
+  if (FindLiveBase(row) < base_slots_) return false;
   // Tentatively append so the row-set functors (which hash by slot) can
   // see the candidate row; roll back on duplicate.
   data_.insert(data_.end(), row.begin(), row.end());
@@ -122,20 +117,18 @@ bool Relation::Insert(Row row) {
   return true;
 }
 
+size_t Relation::FindLiveBase(Row row) const {
+  if (base_ == nullptr) return base_slots_;
+  const uint64_t idx = base_->Find(row.data(), row.size());
+  return idx < base_slots_ && !dead_[idx] ? static_cast<size_t>(idx)
+                                          : base_slots_;
+}
+
 bool Relation::Contains(Row row) const {
   SEPREC_CHECK(row.size() == arity_);
-  // Same tentative-append trick, const_cast-free: use a throwaway probe via
-  // the first index on all columns if rows exist, else linear check.
-  // Cheapest correct approach: append+lookup+rollback on a mutable copy is
-  // not possible here, so probe through an index over all columns.
-  if (num_rows_ == 0) return false;
-  ColumnList all(arity_);
-  for (size_t i = 0; i < arity_; ++i) all[i] = static_cast<uint32_t>(i);
-  if (arity_ == 0) return num_rows_ > 0;
-  const Index& index = GetIndex(all);
-  bool found = false;
-  index.ForEach(row, [&found](uint32_t) { found = true; });
-  return found;
+  // A base row tombstoned and then re-inserted lives in the delta, so a
+  // dead base hit still falls through to the row-set probe.
+  return FindLiveBase(row) < base_slots_ || row_set_.contains(row);
 }
 
 const Index& Relation::GetIndex(const ColumnList& columns) const {
@@ -180,36 +173,20 @@ size_t Relation::InsertAll(const Relation& other) {
 size_t Relation::EraseRows(const Relation& to_remove) {
   SEPREC_CHECK(to_remove.arity() == arity_);
   if (to_remove.empty() || num_rows_ == 0) return 0;
-  if (arity_ == 0) {
-    // At most the single empty tuple.
-    if (num_rows_ == 1) {
-      dead_[*row_set_.begin()] = true;
-      row_set_.clear();
-      num_rows_ = 0;
-      ++mutation_epoch_;
-      return 1;
-    }
-    return 0;
-  }
-  ColumnList all(arity_);
-  for (size_t i = 0; i < arity_; ++i) all[i] = static_cast<uint32_t>(i);
-  const Index& index = GetIndex(all);
   size_t removed = 0;
   to_remove.ForEachRow([&](Row r) {
-    // Find the (single, live) slot holding r, if any.
-    uint32_t victim = 0;
-    bool found = false;
-    index.ForEach(r, [&victim, &found](uint32_t slot) {
-      victim = slot;
-      found = true;
-    });
-    if (found) {
-      row_set_.erase(victim);  // no-op for base slots (delta-only set)
-      dead_[victim] = true;
-      if (victim < base_slots_) ++base_dead_;
-      --num_rows_;
-      ++removed;
+    size_t victim = FindLiveBase(r);
+    if (victim < base_slots_) {
+      ++base_dead_;
+    } else if (auto it = row_set_.find(r); it != row_set_.end()) {
+      victim = *it;
+      row_set_.erase(it);
+    } else {
+      return;
     }
+    dead_[victim] = true;
+    --num_rows_;
+    ++removed;
   });
   if (removed > 0) ++mutation_epoch_;
   return removed;
@@ -316,32 +293,22 @@ ShardedSink::ShardedSink(size_t arity, size_t num_shards) : arity_(arity) {
   if (num_shards == 0) num_shards = 1;
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(&arity_));
+    shards_.push_back(std::make_unique<Shard>(arity));
   }
 }
 
 void ShardedSink::SetAccountant(MemoryAccountant* accountant) {
-  accountant_ = accountant;
+  for (std::unique_ptr<Shard>& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    shard->rows.SetAccountant(accountant);
+  }
 }
 
 bool ShardedSink::Insert(Row row) {
   SEPREC_DCHECK(row.size() == arity_);
   Shard& shard = *shards_[HashRow(row) % shards_.size()];
-
   std::lock_guard<std::mutex> lock(shard.mu);
-  // Tentative append so the set's functors can address the candidate row;
-  // rolled back on duplicate (same scheme as Relation::Insert — and like
-  // there, the accountant is charged only for NOVEL rows, after dedupe).
-  uint32_t id = static_cast<uint32_t>(shard.rows.size());
-  shard.data.insert(shard.data.end(), row.begin(), row.end());
-  auto [it, inserted] = shard.rows.insert(id);
-  (void)it;
-  if (!inserted) {
-    shard.data.resize(shard.data.size() - arity_);
-    return false;
-  }
-  if (accountant_ != nullptr) accountant_->Charge(RowBytes());
-  return true;
+  return shard.rows.Insert(row);
 }
 
 size_t ShardedSink::size() const {
@@ -356,53 +323,35 @@ size_t ShardedSink::size() const {
 size_t ShardedSink::MergeInto(Relation* out, Relation* delta,
                               size_t* staged_count) {
   SEPREC_CHECK(out->arity() == arity_);
-  // Collect every staged row, then sort lexicographically by Value bits:
-  // the canonical merge order that makes the target's slot sequence
-  // independent of how workers and shards interleaved.
-  std::vector<std::vector<Value>> staged;
-  size_t released = 0;
+  // Gather views of every staged row, then sort lexicographically by
+  // Value bits: the canonical merge order that makes the target's slot
+  // sequence independent of how workers and shards interleaved. The views
+  // stay valid until Clear below; no worker inserts during a merge.
+  std::vector<Row> staged;
   for (std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    const size_t rows = shard->rows.size();
-    staged.reserve(staged.size() + rows);
-    for (size_t r = 0; r < rows; ++r) {
-      staged.emplace_back(shard->data.begin() + r * arity_,
-                          shard->data.begin() + (r + 1) * arity_);
-    }
-    released += shard->rows.size();
-    shard->data.clear();
-    shard->rows.clear();
+    shard->rows.ForEachRow([&staged](Row r) { staged.push_back(r); });
   }
-  std::sort(staged.begin(), staged.end(),
-            [](const std::vector<Value>& a, const std::vector<Value>& b) {
-              for (size_t i = 0; i < a.size(); ++i) {
-                if (a[i].bits() != b[i].bits()) {
-                  return a[i].bits() < b[i].bits();
-                }
-              }
-              return false;
-            });
+  std::sort(staged.begin(), staged.end(), RowBitsLess);
   size_t new_rows = 0;
-  for (const std::vector<Value>& row : staged) {
-    if (out->Insert(Row(row.data(), row.size()))) {
+  for (Row row : staged) {
+    if (out->Insert(row)) {
       ++new_rows;
-      if (delta != nullptr) delta->Insert(Row(row.data(), row.size()));
+      if (delta != nullptr) delta->Insert(row);
     }
   }
-  if (accountant_ != nullptr) accountant_->Release(released * RowBytes());
-  if (staged_count != nullptr) *staged_count += released;
+  if (staged_count != nullptr) *staged_count += staged.size();
+  Clear();
   return new_rows;
 }
 
 void ShardedSink::Clear() {
-  size_t released = 0;
   for (std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    released += shard->rows.size();
-    shard->data.clear();
-    shard->rows.clear();
+    // An empty shard skips Clear, which would still wipe its row set's
+    // bucket array; merges of narrow rounds leave most shards empty.
+    if (shard->rows.slots() > 0) shard->rows.Clear();
   }
-  if (accountant_ != nullptr) accountant_->Release(released * RowBytes());
 }
 
 std::string Relation::DebugString(const SymbolTable& symbols) const {

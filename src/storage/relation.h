@@ -10,16 +10,17 @@
 // maintained incrementally, which is what the fixpoint engines need: they
 // interleave index lookups with inserts every iteration.
 //
-// Thread model: mutation (Insert/Clear/EraseRows) is
-// single-threaded, but concurrent READ access — including the lazy index
-// build in GetIndex, which is serialised by an internal mutex — is safe
-// while no mutator runs. The parallel evaluation paths rely on exactly
-// this split: pool workers share read-only relations for the duration of
-// a fixpoint round and stage their output through a ShardedSink; the
-// driving thread is the only mutator, between rounds.
+// Thread model: mutation (Insert/Clear/EraseRows/AttachBaseSegment) is
+// single-threaded, but concurrent READ access — Contains, row access, and
+// the lazy index build in GetIndex, which is serialised by an internal
+// mutex — is safe while no mutator runs. The parallel evaluation paths
+// rely on exactly this split: pool workers share read-only relations for
+// the duration of a fixpoint round and stage their output through a
+// ShardedSink; the driving thread is the only mutator, between rounds.
 #ifndef SEPREC_STORAGE_RELATION_H_
 #define SEPREC_STORAGE_RELATION_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -55,8 +56,8 @@ class RelationSegment;
 // is a relaxed atomic so pool workers can charge their staged rows and the
 // governor can read one number from any thread; charges are only ever
 // counted for NOVEL rows (dedup rejects never charge — see
-// Relation::Insert and ShardedSink::Insert), so duplicate derivations
-// cannot inflate the byte budget.
+// Relation::Insert, which ShardedSink stages through), so duplicate
+// derivations cannot inflate the byte budget.
 class MemoryAccountant {
  public:
   // Flat per-row overhead charged on top of the Value payload.
@@ -166,6 +167,9 @@ class Relation {
     return Insert(Row(row.begin(), row.size()));
   }
 
+  // Membership probe: a binary search of the base segment (decoding at
+  // most the pages it touches) plus a lookup in the delta's row set. No
+  // index is built and no lock is taken.
   bool Contains(Row row) const;
 
   // Slot access; callers iterating [0, slots()) must skip dead slots (see
@@ -202,9 +206,9 @@ class Relation {
   size_t InsertAll(const Relation& other);
 
   // Removes every row that appears in `to_remove` (arities must match) by
-  // tombstoning its slot — O(|to_remove|) with an index probe per row.
-  // Slot ids remain stable; indexes skip dead slots. Returns the number
-  // of rows removed.
+  // tombstoning its slot — O(|to_remove|), each row located the way
+  // Contains locates it. Slot ids remain stable; indexes skip dead slots.
+  // Returns the number of rows removed.
   size_t EraseRows(const Relation& to_remove);
 
   // Seats an immutable, mmap-backed segment as this relation's base
@@ -246,22 +250,34 @@ class Relation {
   // Out-of-line so this header needs only a RelationSegment declaration.
   Row BaseRow(size_t slot) const;
 
+  // Live base slot holding `row`, or base_slots_ when there is none. A
+  // binary search of the segment: it decodes at most the pages it touches,
+  // which is why row_set_ holds only delta slots.
+  size_t FindLiveBase(Row row) const;
+
+  // Row-set functors. Stored keys are slot ids; the transparent Row
+  // overloads let Contains/EraseRows look a row up without storing it.
   struct RowIdHash {
+    using is_transparent = void;
     const Relation* rel;
+    size_t operator()(Row row) const {
+      return static_cast<size_t>(HashRow(row));
+    }
     size_t operator()(uint32_t row_id) const {
-      return static_cast<size_t>(HashRow(rel->row(row_id)));
+      return (*this)(rel->row(row_id));
     }
   };
   struct RowIdEq {
+    using is_transparent = void;
     const Relation* rel;
-    bool operator()(uint32_t a, uint32_t b) const {
-      Row ra = rel->row(a);
-      Row rb = rel->row(b);
-      for (size_t i = 0; i < ra.size(); ++i) {
-        if (ra[i] != rb[i]) return false;
-      }
-      return true;
+    bool operator()(Row a, Row b) const {
+      return std::equal(a.begin(), a.end(), b.begin());
     }
+    bool operator()(uint32_t a, uint32_t b) const {
+      return (*this)(rel->row(a), rel->row(b));
+    }
+    bool operator()(Row a, uint32_t b) const { return (*this)(a, rel->row(b)); }
+    bool operator()(uint32_t a, Row b) const { return (*this)(rel->row(a), b); }
   };
 
   std::string name_;
@@ -276,12 +292,14 @@ class Relation {
     return arity_ * sizeof(Value) + MemoryAccountant::kRowOverheadBytes;
   }
 
-  std::unordered_set<uint32_t, RowIdHash, RowIdEq> row_set_;  // live slots
+  // Live delta slots — the relation's one row-membership structure.
+  std::unordered_set<uint32_t, RowIdHash, RowIdEq> row_set_;
   // std::map: ColumnList has operator< for free; index count is tiny.
   // Node pointers are stable, so a built Index& survives later GetIndex
-  // calls inserting new entries. Guarded by index_mu_ for concurrent
-  // readers; mutators run single-threaded and also take the lock for
-  // uniformity.
+  // calls inserting new entries. index_mu_ serialises concurrent readers
+  // racing to build an index in GetIndex; the mutators that touch the map
+  // (Insert, Clear, AttachBaseSegment) do so without it, which is safe
+  // because no reader runs while a mutator does.
   mutable std::map<ColumnList, std::unique_ptr<Index>> indexes_;
   mutable std::mutex index_mu_;
   MemoryAccountant* accountant_ = nullptr;  // not owned; may be null
@@ -333,10 +351,11 @@ void Relation::ForEachRowOrdered(Fn&& fn) const {
 }
 
 // ShardedSink: the concurrent-insert staging area the parallel engines
-// emit into. Rows are deduplicated into S shards, each an independent
-// (mutex, hash set, row buffer) triple selected by row hash, so workers
-// contend only when they derive rows landing in the same shard —
-// "per-relation shard lock" granularity rather than one big lock.
+// emit into. Rows are deduplicated into S shards selected by row hash,
+// each a mutex guarding a private Relation (whose row set is the shard's
+// dedup, and whose accountant is the sink's), so workers contend only
+// when they derive rows landing in the same shard — "per-relation shard
+// lock" granularity rather than one big lock.
 //
 // Drain(MergeInto) runs on the driving thread between rounds. It merges
 // the staged rows in CANONICAL order — sorted lexicographically by Value
@@ -368,7 +387,7 @@ class ShardedSink {
   // Moves every staged row into `out` (and, for the rows genuinely new in
   // `out`, into `delta` when non-null) in canonical sorted order, then
   // clears the sink. Returns the number of rows new in `out`; when
-  // `staged` is non-null it receives the number of rows the sink held
+  // `staged` is non-null it is increased by the number of rows the sink held
   // (post worker-side dedup, pre merge dedup — the trace layer's merge
   // statistic). Driving thread only.
   size_t MergeInto(Relation* out, Relation* delta = nullptr,
@@ -378,50 +397,14 @@ class ShardedSink {
   void Clear();
 
  private:
-  // One shard: a row buffer plus a dedupe set of row ids hashing into the
-  // buffer (the same slot-id scheme Relation uses, minus tombstones).
-  // Non-movable because the set's functors capture `this`.
   struct Shard {
-    explicit Shard(const size_t* arity)
-        : arity(arity), rows(16, RowHash{this}, RowEq{this}) {}
-    Shard(const Shard&) = delete;
-    Shard& operator=(const Shard&) = delete;
-
-    Row row(uint32_t id) const {
-      return Row(data.data() + size_t{id} * *arity, *arity);
-    }
-
-    struct RowHash {
-      const Shard* shard;
-      size_t operator()(uint32_t id) const {
-        return static_cast<size_t>(HashRow(shard->row(id)));
-      }
-    };
-    struct RowEq {
-      const Shard* shard;
-      bool operator()(uint32_t a, uint32_t b) const {
-        Row ra = shard->row(a);
-        Row rb = shard->row(b);
-        for (size_t i = 0; i < ra.size(); ++i) {
-          if (ra[i] != rb[i]) return false;
-        }
-        return true;
-      }
-    };
-
-    const size_t* arity;
+    explicit Shard(size_t arity) : rows("$sink_shard", arity) {}
     std::mutex mu;
-    std::vector<Value> data;  // staged rows, arity Values each
-    std::unordered_set<uint32_t, RowHash, RowEq> rows;
+    Relation rows;
   };
-
-  size_t RowBytes() const {
-    return arity_ * sizeof(Value) + MemoryAccountant::kRowOverheadBytes;
-  }
 
   size_t arity_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  MemoryAccountant* accountant_ = nullptr;  // not owned; may be null
 };
 
 template <typename Fn>

@@ -108,6 +108,11 @@ const Value* RelationSegment::PageRows(size_t p) const {
   return ptr;
 }
 
+size_t RelationSegment::decoded_pages() const {
+  std::lock_guard<std::mutex> lock(decode_mu_);
+  return storage_.size();
+}
+
 const Value* RelationSegment::row(uint64_t idx) const {
   SEPREC_DCHECK(idx < geometry_.rows);
   const std::vector<uint64_t>& start = geometry_.page_row_start;

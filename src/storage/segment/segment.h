@@ -88,6 +88,9 @@ class RelationSegment {
   const std::vector<uint64_t>& distinct() const { return geometry_.distinct; }
   uint64_t agg_entries() const { return geometry_.agg_entries; }
   bool mmapped() const { return file_->mmapped(); }
+  // Data pages decoded into the cache so far; tests use it to bound how
+  // much of the base a probe touches.
+  size_t decoded_pages() const;
 
   // Pointer to row `idx` (0 <= idx < rows()), decoding its page on first
   // touch. The returned pointer (arity() Values) stays valid for the

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "eval/join_plan.h"
 #include "plan/stats.h"
 #include "storage/database.h"
+#include "storage/io.h"
 #include "storage/relation.h"
 #include "storage/segment/paged_file.h"
 #include "storage/segment/segment.h"
@@ -26,6 +28,7 @@
 #include "storage/segment/varint.h"
 #include "storage/snapshot.h"
 #include "util/failpoint.h"
+#include "util/hash.h"
 #include "util/string_util.h"
 
 namespace seprec {
@@ -357,6 +360,113 @@ TEST_F(SegmentTest, DeltaLayerInsertEraseReinsert) {
   EXPECT_TRUE(t->Contains(dead.row(0)));
   EXPECT_EQ(t->size(), 101u);
   EXPECT_EQ(t->delta_rows(), 2u);
+}
+
+// Contains, EraseRows and a delete batch find a base row by binary search
+// over the segment, so each decodes at most the two pages the search can
+// touch (the row's page and, at a page boundary, its successor) instead of
+// the whole base.
+TEST_F(SegmentTest, MembershipProbesDecodeOnlyTouchedPages) {
+  Database db;
+  Relation* rel = *db.CreateRelation("t", 2);
+  // Wide second column so the rows spread over many pages.
+  const int kRows = 40000;
+  auto row_of = [](int i) {
+    return std::vector<Value>{
+        Value::Int(i), Value::Int(static_cast<int64_t>(
+                           MixBits(static_cast<uint64_t>(i)) >> 8))};
+  };
+  for (int i = 0; i < kRows; ++i) {
+    std::vector<Value> r = row_of(i);
+    rel->Insert(Row(r.data(), r.size()));
+  }
+  const std::string path = Path("db.v3");
+  ASSERT_TRUE(SaveSnapshotV3File(db, path).ok());
+
+  // Each probe runs against a freshly loaded database, so its decoded
+  // page count starts from an empty cache.
+  auto probe = [&](const std::function<void(Database*, Relation*)>& fn) {
+    Database loaded;
+    EXPECT_TRUE(LoadSnapshotV3File(&loaded, path).ok());
+    Relation* t = loaded.Find("t");
+    EXPECT_NE(t->base_segment(), nullptr);
+    EXPECT_GE(t->base_segment()->num_pages(), 64u);
+    const size_t before = t->base_segment()->decoded_pages();
+    fn(&loaded, t);
+    return t->base_segment()->decoded_pages() - before;
+  };
+
+  const std::vector<Value> present = row_of(kRows / 2);
+  const Row present_row(present.data(), 2);
+  const size_t contains_present = probe([&](Database*, Relation* t) {
+    EXPECT_TRUE(t->Contains(present_row));
+  });
+  EXPECT_LE(contains_present, 2u);
+
+  const std::vector<Value> absent = {Value::Int(kRows / 3), Value::Int(-1)};
+  const size_t contains_absent = probe([&](Database*, Relation* t) {
+    EXPECT_FALSE(t->Contains(Row(absent.data(), 2)));
+  });
+  EXPECT_LE(contains_absent, 2u);
+
+  const size_t erase = probe([&](Database*, Relation* t) {
+    Relation victims("victims", 2);
+    victims.Insert(present_row);
+    EXPECT_EQ(t->EraseRows(victims), 1u);
+    EXPECT_EQ(t->base_dead(), 1u);
+    EXPECT_FALSE(t->Contains(present_row));
+  });
+  EXPECT_LE(erase, 2u);
+
+  const size_t delete_batch = probe([&](Database* loaded, Relation* t) {
+    TupleBatch batch;
+    batch.relation = "t";
+    batch.arity = 2;
+    batch.op = BatchOp::kDelete;
+    batch.rows.push_back({TypedCell::Int(present[0].as_int()),
+                          TypedCell::Int(present[1].as_int())});
+    std::vector<std::vector<Value>> changed;
+    StatusOr<size_t> removed = ApplyTupleBatch(loaded, batch, &changed);
+    ASSERT_TRUE(removed.ok());
+    EXPECT_EQ(*removed, 1u);
+    EXPECT_EQ(changed.size(), 1u);
+    EXPECT_EQ(t->size(), static_cast<size_t>(kRows - 1));
+  });
+  EXPECT_LE(delete_batch, 2u);
+}
+
+// A base row that was tombstoned and re-inserted lives in the delta: it is
+// found there, and erasing it again removes the delta copy without
+// touching the base tombstone count.
+TEST_F(SegmentTest, ReinsertedBaseRowIsFoundAndErasedInDelta) {
+  Database db;
+  Relation* rel = *db.CreateRelation("t", 2);
+  for (int i = 0; i < 100; ++i) {
+    rel->Insert({Value::Int(i), Value::Int(i)});
+  }
+  const std::string path = Path("db.v3");
+  ASSERT_TRUE(SaveSnapshotV3File(db, path).ok());
+  Database loaded;
+  ASSERT_TRUE(LoadSnapshotV3File(&loaded, path).ok());
+  Relation* t = loaded.Find("t");
+  ASSERT_EQ(t->base_slots(), 100u);
+
+  Relation victim("victim", 2);
+  victim.Insert({Value::Int(7), Value::Int(7)});
+  ASSERT_EQ(t->EraseRows(victim), 1u);
+  ASSERT_EQ(t->base_dead(), 1u);
+  ASSERT_TRUE(t->Insert({Value::Int(7), Value::Int(7)}));
+  EXPECT_EQ(t->delta_rows(), 1u);
+  EXPECT_TRUE(t->Contains(victim.row(0)));
+
+  EXPECT_EQ(t->EraseRows(victim), 1u);
+  EXPECT_EQ(t->base_dead(), 1u);
+  EXPECT_EQ(t->delta_rows(), 0u);
+  EXPECT_EQ(t->size(), 99u);
+  EXPECT_FALSE(t->Contains(victim.row(0)));
+  // Erasing an absent row is a no-op.
+  EXPECT_EQ(t->EraseRows(victim), 0u);
+  EXPECT_EQ(t->size(), 99u);
 }
 
 TEST_F(SegmentTest, OrderedCursorMergesBaseAndDelta) {

@@ -77,6 +77,19 @@ TEST(Json, ParseErrors) {
   EXPECT_FALSE(json::Parse(std::string(300, '[')).ok());
 }
 
+TEST(Json, AsIntFallsBackOutsideInt64Range) {
+  // 1e19 and -1e19 lie outside [-2^63, 2^63), where a double-to-int64
+  // conversion is undefined; the accessor answers its fallback instead.
+  EXPECT_EQ(json::Parse("1e19")->as_int(-1), -1);
+  EXPECT_EQ(json::Parse("-1e19")->as_int(-1), -1);
+  EXPECT_EQ(json::Parse("9223372036854775808")->as_int(-1), -1);
+  EXPECT_EQ(json::Parse("-9.3e18")->as_int(-1), -1);
+  // In range, doubles still truncate toward zero.
+  EXPECT_EQ(json::Parse("2.5")->as_int(-1), 2);
+  EXPECT_EQ(json::Parse("-9.2e18")->as_int(), int64_t{-9200000000000000000});
+  EXPECT_EQ(json::Parse("\"7\"")->as_int(-1), -1);
+}
+
 TEST(Json, GetOnMissingKeyIsNull) {
   auto v = json::Parse("{}");
   ASSERT_TRUE(v.ok());
@@ -839,6 +852,46 @@ TEST_F(SocketServerTest, MalformedMiddleRowFailsLoadWithoutPartialApply) {
   // did not move.
   EXPECT_EQ(db_.Find("m"), nullptr);
   EXPECT_EQ(db_.generation(), 0u);
+}
+
+TEST_F(SocketServerTest, InlineRowsTheTsvReaderWouldMisreadAreRejected) {
+  SocketClient client(socket_path_);
+  ASSERT_TRUE(client.connected());
+  client.Send(R"({"op":"load","id":1,"relation":"m","rows":[["a","b"]]})");
+  ASSERT_TRUE(client.ReadLine().Get("ok").as_bool());
+  const uint64_t generation = db_.generation();
+  const std::string contents = db_.Find("m")->DebugString(db_.symbols());
+
+  // Each request's bad row is rows[1]; rows[0] is valid, so a partial
+  // apply would show in the relation.
+  const std::vector<std::string> bad_rows = {
+      R"(["p\tq\nr","s"])",  // tab and newline would split the row
+      R"(["x\r","y"])",      // carriage return
+      R"(["#x","y"])",       // read back as a comment line
+      R"([""])",             // read back as a blank line
+      R"([1.5,null])",       // neither string nor integer
+      R"(["x",1e19])",       // a double, however integral
+      R"([])",               // empty row
+      R"("xy")",             // not an array
+  };
+  for (const std::string& bad : bad_rows) {
+    client.Send(StrCat(R"({"op":"load","id":2,"relation":"m","rows":[)",
+                       R"(["c","d"],)", bad, "]}"));
+    json::Value error = client.ReadLine();
+    EXPECT_EQ(error.Get("ev").as_string(), "error") << bad;
+    EXPECT_EQ(error.Get("code").as_string(), "INVALID_ARGUMENT") << bad;
+    EXPECT_NE(error.Get("message").as_string().find("rows[1]"),
+              std::string::npos)
+        << bad << ": " << error.Get("message").as_string();
+    EXPECT_EQ(db_.generation(), generation) << bad;
+    EXPECT_EQ(db_.Find("m")->DebugString(db_.symbols()), contents) << bad;
+  }
+
+  // Integers and plain strings still load, typed as a TSV file would be.
+  client.Send(R"({"op":"load","id":3,"relation":"m","rows":[["e",-4]]})");
+  json::Value loaded = client.ReadLine();
+  EXPECT_TRUE(loaded.Get("ok").as_bool());
+  EXPECT_EQ(loaded.Get("changed").as_int(), 1);
 }
 
 TEST_F(SocketServerTest, DeleteModeRemovesRowsAndReportsChanged) {
