@@ -14,7 +14,6 @@
 #include "util/hash.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace seprec {
 namespace {
@@ -58,33 +57,28 @@ struct StratumRuntime {
 
 class FixpointEngine {
  public:
-  FixpointEngine(Database* db, const FixpointOptions& options,
-                 ExecutionContext* ctx, EvalStats* stats, bool seminaive)
+  FixpointEngine(Database* db, EngineRun* run, EvalStats* stats,
+                 bool seminaive)
       : db_(db),
-        options_(options),
-        ctx_(ctx),
+        options_(run->options()),
+        ctx_(run->ctx()),
+        span_(&run->span()),
         stats_(stats),
-        trace_(options.trace),
+        trace_(options_.trace),
         seminaive_(seminaive) {}
 
-  Status Run(const Program& program) {
-    WallTimer timer;
-    uint64_t polls_before = 0;
-    uint64_t attempts_before = 0;
-    uint64_t novel_before = 0;
-    if (trace_ != nullptr) {
-      // First-wins: nested engines sharing the caller's context no-op.
-      ctx_->SetTrace(trace_);
-      db_->counters().active = true;
-      polls_before = ctx_->polls();
-      attempts_before =
-          db_->counters().attempts.load(std::memory_order_relaxed);
-      novel_before = db_->counters().novel.load(std::memory_order_relaxed);
-      TraceEvent e;
-      e.kind = TraceEventKind::kEngineStart;
-      e.engine = engine_name();
-      trace_->Emit(e);
+  // Drops the internal delta and partition relations, whichever way Run
+  // exited.
+  ~FixpointEngine() {
+    for (const std::string& name : delta_names_) {
+      db_->Drop(name);
     }
+  }
+
+  FixpointEngine(const FixpointEngine&) = delete;
+  FixpointEngine& operator=(const FixpointEngine&) = delete;
+
+  Status Run(const Program& program) {
     SEPREC_ASSIGN_OR_RETURN(ProgramInfo info, ProgramInfo::Analyze(program));
 
     Status result = Status::OK();
@@ -112,29 +106,10 @@ class FixpointEngine {
         const Relation* rel = db_->Find(name);
         stats_->NoteRelation(name, rel == nullptr ? 0 : rel->size());
       }
-      stats_->seconds = timer.Seconds();
+      stats_->seconds = span_->Seconds();
       if (stats_->algorithm.empty()) {
         stats_->algorithm = seminaive_ ? "seminaive" : "naive";
       }
-    }
-    if (trace_ != nullptr) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kEngineFinish;
-      e.engine = engine_name();
-      e.seconds = timer.Seconds();
-      e.iterations = run_iterations_;
-      e.tuples = run_tuples_;
-      e.polls = ctx_->polls() - polls_before;
-      e.insert_attempts =
-          db_->counters().attempts.load(std::memory_order_relaxed) -
-          attempts_before;
-      e.insert_new = db_->counters().novel.load(std::memory_order_relaxed) -
-                     novel_before;
-      trace_->Emit(e);
-    }
-    // Drop the internal delta relations.
-    for (const std::string& name : delta_names_) {
-      db_->Drop(name);
     }
     return result;
   }
@@ -182,7 +157,6 @@ class FixpointEngine {
       PlanOptions base_opts;
       base_opts.disable_indexes = options_.disable_indexes;
       base_opts.join_order = join_order();
-      base_opts.allow_merge = !options_.no_segments;
       if (rule->aggregate.has_value()) {
         // Aggregate rules run once per stratum (stratification guarantees
         // their bodies are complete); the plan collects (group, value)
@@ -209,7 +183,6 @@ class FixpointEngine {
         PlanOptions opts;
         opts.disable_indexes = options_.disable_indexes;
         opts.join_order = join_order();
-        opts.allow_merge = !options_.no_segments;
         opts.relation_overrides[i] =
             StrCat(kDeltaPrefix, lit.atom.predicate);
         SEPREC_ASSIGN_OR_RETURN(RulePlan delta,
@@ -222,7 +195,6 @@ class FixpointEngine {
           PlanOptions part_opts;
           part_opts.disable_indexes = options_.disable_indexes;
           part_opts.join_order = join_order();
-          part_opts.allow_merge = !options_.no_segments;
           part_opts.relation_overrides[i] = PartName(k, lit.atom.predicate);
           SEPREC_ASSIGN_OR_RETURN(RulePlan part,
                                   RulePlan::Compile(*rule, db_, part_opts));
@@ -318,7 +290,7 @@ class FixpointEngine {
         new_tuples += sinks.at(pred)->MergeInto(full, delta, staged);
       }
       if (stats_ != nullptr) stats_->tuples_inserted += new_tuples;
-      run_tuples_ += new_tuples;
+      span_->AddTuples(new_tuples);
       ctx_->NoteTuples(new_tuples);
       return new_tuples;
     };
@@ -465,7 +437,7 @@ class FixpointEngine {
     size_t new_tuples = fold(measuring ? &staged : nullptr);
     round_finish(emitted, staged, new_tuples);
     if (stats_ != nullptr) stats_->iterations += 1;
-    run_iterations_ += 1;
+    span_->AddIterations(1);
     ctx_->NoteIterationAndCheck();
 
     if (stratum.recursive) {
@@ -488,7 +460,7 @@ class FixpointEngine {
         new_tuples = fold(measuring ? &staged : nullptr);
         round_finish(emitted, staged, new_tuples);
         if (stats_ != nullptr) stats_->iterations += 1;
-        run_iterations_ += 1;
+        span_->AddIterations(1);
         ctx_->NoteIterationAndCheck();
       }
     }
@@ -573,37 +545,46 @@ class FixpointEngine {
   }
 
   Database* db_;
-  FixpointOptions options_;
+  const FixpointOptions& options_;
   ExecutionContext* ctx_;
+  // Counts this run's own totals (stats_ may be shared across nested
+  // engines).
+  EngineSpan* span_;
   EvalStats* stats_;
   TraceSink* trace_;
   bool seminaive_;
-  // This run's own totals (stats_ may be shared across nested engines).
-  size_t run_iterations_ = 0;
-  size_t run_tuples_ = 0;
   std::set<std::string> delta_names_;
 };
 
+Status RunFixpoint(const Program& program, Database* db,
+                   const FixpointOptions& options, EvalStats* stats,
+                   bool seminaive) {
+  EngineRun run(seminaive ? "seminaive" : "naive", options, db);
+  FixpointEngine engine(db, &run, stats, seminaive);
+  SEPREC_RETURN_IF_ERROR(engine.Run(program));
+  return run.ExitStatus();
+}
+
 }  // namespace
+
+EngineRun::EngineRun(const char* engine, const FixpointOptions& options,
+                     Database* db, std::string_view phase)
+    : governor_(options.limits, options.cancel, options.context),
+      options_(options),
+      span_(engine, options.trace, db, governor_.ctx()) {
+  governor_.ctx()->TrackMemory(&db->accountant());
+  options_.context = governor_.ctx();
+  options_.trace_phase_prefix += phase;
+}
 
 Status EvaluateSemiNaive(const Program& program, Database* db,
                          const FixpointOptions& options, EvalStats* stats) {
-  GovernorScope governor(options.limits, options.cancel, options.context);
-  governor.ctx()->TrackMemory(&db->accountant());
-  FixpointEngine engine(db, options, governor.ctx(), stats,
-                        /*seminaive=*/true);
-  SEPREC_RETURN_IF_ERROR(engine.Run(program));
-  return governor.ExitStatus();
+  return RunFixpoint(program, db, options, stats, /*seminaive=*/true);
 }
 
 Status EvaluateNaive(const Program& program, Database* db,
                      const FixpointOptions& options, EvalStats* stats) {
-  GovernorScope governor(options.limits, options.cancel, options.context);
-  governor.ctx()->TrackMemory(&db->accountant());
-  FixpointEngine engine(db, options, governor.ctx(), stats,
-                        /*seminaive=*/false);
-  SEPREC_RETURN_IF_ERROR(engine.Run(program));
-  return governor.ExitStatus();
+  return RunFixpoint(program, db, options, stats, /*seminaive=*/false);
 }
 
 }  // namespace seprec

@@ -11,16 +11,16 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "core/governor.h"
 #include "datalog/ast.h"
 #include "eval/eval_stats.h"
+#include "eval/trace.h"
 #include "storage/database.h"
 #include "util/status.h"
 
 namespace seprec {
-
-class TraceSink;
 
 struct FixpointOptions {
   // Resource bounds (iterations, tuples, bytes, wall clock) enforced at
@@ -50,21 +50,40 @@ struct FixpointOptions {
   // --no-cbo CLI flag.
   bool no_cbo = false;
 
-  // Ablation: never compile merge joins over ordered (segment-backed)
-  // relations; every join runs the pure hash pipeline. See
-  // PlanOptions::allow_merge and the --no-segments CLI flag.
-  bool no_segments = false;
-
-  // Optional event sink (see eval/trace.h). Engines copy options when
-  // delegating to sub-evaluations, so one sink observes the whole query.
-  // Null (the default) disables tracing; the enabled path adds per-round
-  // and per-rule bookkeeping, the disabled path a branch per round.
+  // Optional event sink (see eval/trace.h). Each engine run reports to it
+  // through its EngineRun's span, and nested engines receive a copy of the
+  // options, so one sink observes the whole query. Null (the default)
+  // disables tracing; the enabled path adds per-round and per-rule
+  // bookkeeping, the disabled path a branch per round.
   TraceSink* trace = nullptr;
 
   // Prefixed onto the phase label of nested fixpoint rounds so rewrite
   // engines ("magic/", "counting/", "support/") stay distinguishable in a
   // combined trace.
   std::string trace_phase_prefix;
+};
+
+// The setup every engine entry point shares: it adopts the caller's
+// governor context or owns one (charged against `db`'s accountant; a trip
+// becomes an error at ExitStatus), derives the options nested engines run
+// under (governed by that context, `phase` appended to the trace phase
+// prefix), and opens the run's EngineSpan. Declared at the top of an entry
+// point, it closes the span on every exit.
+class EngineRun {
+ public:
+  EngineRun(const char* engine, const FixpointOptions& options, Database* db,
+            std::string_view phase = {});
+
+  ExecutionContext* ctx() { return governor_.ctx(); }
+  const FixpointOptions& options() const { return options_; }
+  EngineSpan& span() { return span_; }
+  // Non-OK only when this run owns the context and a limit tripped.
+  Status ExitStatus() { return governor_.ExitStatus(); }
+
+ private:
+  GovernorScope governor_;
+  FixpointOptions options_;
+  EngineSpan span_;  // last: closes before the governor goes
 };
 
 // Evaluates `program` to fixpoint with semi-naive (delta) iteration.

@@ -17,50 +17,21 @@ std::string UpdateStats::ToString() const {
 
 namespace {
 
-// RAII pair of engine_start/engine_finish events around one update call.
-// Seconds and the counter totals are read at destruction time, after the
-// caller has finished filling `update`.
-class EngineTraceScope {
- public:
-  EngineTraceScope(TraceSink* trace, Database* db, const WallTimer* timer,
-                   const UpdateStats* update)
-      : trace_(trace), db_(db), timer_(timer), update_(update) {
-    if (trace_ == nullptr) return;
-    db_->counters().active = true;
-    attempts_before_ =
-        db_->counters().attempts.load(std::memory_order_relaxed);
-    novel_before_ = db_->counters().novel.load(std::memory_order_relaxed);
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineStart;
-    e.engine = "incremental";
-    trace_->Emit(e);
-  }
-
-  ~EngineTraceScope() {
-    if (trace_ == nullptr) return;
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineFinish;
-    e.engine = "incremental";
-    e.seconds = timer_->Seconds();
-    e.iterations = update_->iterations;
-    e.tuples = update_->inserted + update_->rederived;
-    e.insert_attempts =
-        db_->counters().attempts.load(std::memory_order_relaxed) -
-        attempts_before_;
-    e.insert_new =
-        db_->counters().novel.load(std::memory_order_relaxed) -
-        novel_before_;
-    trace_->Emit(e);
-  }
-
- private:
-  TraceSink* trace_;
-  Database* db_;
-  const WallTimer* timer_;
-  const UpdateStats* update_;
-  uint64_t attempts_before_ = 0;
-  uint64_t novel_before_ = 0;
-};
+// Runs one AddFacts/RemoveFacts update in an engine span: `update` is reset
+// first, and its seconds and the span's totals are filled in however `body`
+// returns. The engine runs no governor context, so the span reports 0
+// polls.
+template <typename Body>
+Status TracedUpdate(TraceSink* trace, Database* db, UpdateStats* update,
+                    Body body) {
+  EngineSpan span("incremental", trace, db, /*ctx=*/nullptr);
+  *update = UpdateStats();
+  Status status = body();
+  update->seconds = span.Seconds();
+  span.AddIterations(update->iterations);
+  span.AddTuples(update->inserted + update->rederived);
+  return status;
+}
 
 void EmitRoundStart(TraceSink* trace, const char* phase, size_t round,
                     uint64_t delta) {
@@ -272,29 +243,24 @@ Status IncrementalEngine::PropagateInsertions() {
 
 Status IncrementalEngine::AddFacts(
     std::string_view relation, const std::vector<std::vector<Value>>& rows) {
-  WallTimer timer;
-  last_update_ = UpdateStats();
-  EngineTraceScope scope(trace_, db_, &timer, &last_update_);
-  Relation* edb = nullptr;
-  Relation* seed = nullptr;
-  SEPREC_RETURN_IF_ERROR(
-      SeedRows(relation, rows, /*removing=*/false, &edb, &seed));
+  return TracedUpdate(trace_, db_, &last_update_, [&]() -> Status {
+    Relation* edb = nullptr;
+    Relation* seed = nullptr;
+    SEPREC_RETURN_IF_ERROR(
+        SeedRows(relation, rows, /*removing=*/false, &edb, &seed));
 
-  for (const std::string& pred : predicates_) {
-    db_->Find(NewDeltaName(pred))->Clear();
-  }
-  for (const std::vector<Value>& row : rows) {
-    if (edb->Insert(Row(row.data(), row.size()))) {
-      seed->Insert(Row(row.data(), row.size()));
+    for (const std::string& pred : predicates_) {
+      db_->Find(NewDeltaName(pred))->Clear();
     }
-  }
-  Status status = Status::OK();
-  if (!seed->empty()) {
+    for (const std::vector<Value>& row : rows) {
+      if (edb->Insert(Row(row.data(), row.size()))) {
+        seed->Insert(Row(row.data(), row.size()));
+      }
+    }
+    if (seed->empty()) return Status::OK();
     db_->BumpGeneration();
-    status = PropagateInsertions();
-  }
-  last_update_.seconds = timer.Seconds();
-  return status;
+    return PropagateInsertions();
+  });
 }
 
 Status IncrementalEngine::AddFact(std::string_view relation,
@@ -441,35 +407,29 @@ Status IncrementalEngine::RederiveAndCascade() {
 
 Status IncrementalEngine::RemoveFacts(
     std::string_view relation, const std::vector<std::vector<Value>>& rows) {
-  WallTimer timer;
-  last_update_ = UpdateStats();
-  EngineTraceScope scope(trace_, db_, &timer, &last_update_);
-  Relation* edb = nullptr;
-  Relation* seed = nullptr;
-  SEPREC_RETURN_IF_ERROR(
-      SeedRows(relation, rows, /*removing=*/true, &edb, &seed));
+  return TracedUpdate(trace_, db_, &last_update_, [&]() -> Status {
+    Relation* edb = nullptr;
+    Relation* seed = nullptr;
+    SEPREC_RETURN_IF_ERROR(
+        SeedRows(relation, rows, /*removing=*/true, &edb, &seed));
 
-  // Overdeletion is computed against the PRE-deletion relations: collect
-  // per-predicate overdelete sets in the $inc<id>_del_* relations first.
-  for (const std::string& pred : predicates_) {
-    db_->Find(DelDeltaName(pred))->Clear();
-    db_->Find(NewDeltaName(pred))->Clear();
-  }
-  for (const std::vector<Value>& row : rows) {
-    if (edb->Contains(Row(row.data(), row.size()))) {
-      seed->Insert(Row(row.data(), row.size()));
+    // Overdeletion is computed against the PRE-deletion relations: collect
+    // per-predicate overdelete sets in the $inc<id>_del_* relations first.
+    for (const std::string& pred : predicates_) {
+      db_->Find(DelDeltaName(pred))->Clear();
+      db_->Find(NewDeltaName(pred))->Clear();
     }
-  }
-  if (seed->empty()) {
-    last_update_.seconds = timer.Seconds();
-    return Status::OK();
-  }
-  db_->BumpGeneration();
-  SEPREC_RETURN_IF_ERROR(
-      OverdeleteAndErase(relation, seed, /*erase_edb=*/true));
-  SEPREC_RETURN_IF_ERROR(RederiveAndCascade());
-  last_update_.seconds = timer.Seconds();
-  return Status::OK();
+    for (const std::vector<Value>& row : rows) {
+      if (edb->Contains(Row(row.data(), row.size()))) {
+        seed->Insert(Row(row.data(), row.size()));
+      }
+    }
+    if (seed->empty()) return Status::OK();
+    db_->BumpGeneration();
+    SEPREC_RETURN_IF_ERROR(
+        OverdeleteAndErase(relation, seed, /*erase_edb=*/true));
+    return RederiveAndCascade();
+  });
 }
 
 bool IncrementalEngine::Maintains(std::string_view relation) const {

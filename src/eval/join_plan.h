@@ -42,8 +42,8 @@ struct PlanOptions {
   JoinOrderMode join_order = JoinOrderMode::kCostBased;
 
   // Let the planner choose a merge join over ordered (segment-backed)
-  // relations; false is the --no-segments ablation, which forces the
-  // pure hash pipeline.
+  // relations; false forces the pure hash pipeline (the ablation
+  // bench/micro_segment and segment_test compare merge against).
   bool allow_merge = true;
 };
 

@@ -2,6 +2,10 @@
 
 #include <cstdio>
 
+#include "core/governor.h"
+#include "eval/eval_stats.h"
+#include "storage/database.h"
+
 namespace seprec {
 
 const char* TraceEventKindName(TraceEventKind kind) {
@@ -211,6 +215,40 @@ void JsonTraceSink::Emit(const TraceEvent& e) {
   line += "}\n";
   *out_ << line;
   out_->flush();
+}
+
+EngineSpan::EngineSpan(const char* engine, TraceSink* trace, Database* db,
+                       ExecutionContext* ctx)
+    : engine_(engine), trace_(trace), db_(db), ctx_(ctx) {
+  if (trace_ == nullptr) return;
+  if (ctx != nullptr) {
+    ctx->SetTrace(trace_);
+    polls_before_ = ctx->polls();
+  }
+  StorageCounters& counters = db_->counters();
+  counters.active = true;
+  attempts_before_ = counters.attempts.load(std::memory_order_relaxed);
+  novel_before_ = counters.novel.load(std::memory_order_relaxed);
+  TraceEvent e;
+  e.kind = TraceEventKind::kEngineStart;
+  e.engine = engine_;
+  trace_->Emit(e);
+}
+
+EngineSpan::~EngineSpan() {
+  if (trace_ == nullptr) return;
+  const StorageCounters& counters = db_->counters();
+  TraceEvent e;
+  e.kind = TraceEventKind::kEngineFinish;
+  e.engine = engine_;
+  e.seconds = timer_.Seconds();
+  e.iterations = stats_ != nullptr ? stats_->iterations : iterations_;
+  e.tuples = stats_ != nullptr ? stats_->tuples_inserted : tuples_;
+  e.polls = ctx_ != nullptr ? ctx_->polls() - polls_before_ : 0;
+  e.insert_attempts =
+      counters.attempts.load(std::memory_order_relaxed) - attempts_before_;
+  e.insert_new = counters.novel.load(std::memory_order_relaxed) - novel_before_;
+  trace_->Emit(e);
 }
 
 }  // namespace seprec

@@ -166,6 +166,53 @@ class CollectingTraceSink : public TraceSink {
   std::vector<TraceEvent> events_;
 };
 
+class Database;
+class ExecutionContext;
+struct EvalStats;
+
+// One engine run: engine_start when constructed, engine_finish when
+// destroyed, so every exit of an engine entry point — error returns
+// included — closes the pair. The one place engines report a run (DESIGN.md
+// §9). With a null sink it only keeps the clock.
+class EngineSpan {
+ public:
+  // Attaches `trace` to `ctx` (first wins: a nested engine sharing the
+  // caller's context reports to the outermost sink), switches on `db`'s
+  // insert counters and snapshots them and ctx's poll count. `ctx` may be
+  // null; engine_finish then reports 0 polls.
+  EngineSpan(const char* engine, TraceSink* trace, Database* db,
+             ExecutionContext* ctx);
+  ~EngineSpan();
+  EngineSpan(const EngineSpan&) = delete;
+  EngineSpan& operator=(const EngineSpan&) = delete;
+
+  // Seconds since the span opened.
+  double Seconds() const { return timer_.Seconds(); }
+
+  // The run's totals engine_finish reports. Engines that count their own
+  // rounds add them here. An engine whose totals accumulate in an EvalStats
+  // shared with the nested engines it runs points the span at it instead:
+  // iterations and tuples_inserted are read when the span closes, so
+  // `stats` must be declared before the span. (A `return result;` that
+  // moves the stats out first leaves those scalar counters intact.)
+  void AddIterations(uint64_t n) { iterations_ += n; }
+  void AddTuples(uint64_t n) { tuples_ += n; }
+  void CountFrom(const EvalStats* stats) { stats_ = stats; }
+
+ private:
+  const char* engine_;
+  TraceSink* trace_;
+  Database* db_;
+  const ExecutionContext* ctx_;
+  const EvalStats* stats_ = nullptr;
+  WallTimer timer_;
+  uint64_t iterations_ = 0;
+  uint64_t tuples_ = 0;
+  uint64_t polls_before_ = 0;
+  uint64_t attempts_before_ = 0;
+  uint64_t novel_before_ = 0;
+};
+
 }  // namespace seprec
 
 #endif  // SEPREC_EVAL_TRACE_H_

@@ -8,7 +8,6 @@
 #include "eval/join_plan.h"
 #include "eval/trace.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace seprec {
 
@@ -16,10 +15,10 @@ namespace {
 
 constexpr char kEngineName[] = "nonrecursive";
 
-Status RunNonRecursive(const Program& program, Database* db,
-                       const FixpointOptions& options, ExecutionContext* ctx,
+Status RunNonRecursive(const Program& program, Database* db, EngineRun* run,
                        EvalStats* stats) {
-  WallTimer timer;
+  const FixpointOptions& options = run->options();
+  ExecutionContext* ctx = run->ctx();
   SEPREC_ASSIGN_OR_RETURN(ProgramInfo info, ProgramInfo::Analyze(program));
   for (const auto& [name, pred] : info.predicates()) {
     if (pred.is_recursive) {
@@ -37,24 +36,7 @@ Status RunNonRecursive(const Program& program, Database* db,
   }
 
   TraceSink* trace = options.trace;
-  uint64_t polls_before = 0;
-  uint64_t attempts_before = 0;
-  uint64_t novel_before = 0;
-  if (trace != nullptr) {
-    ctx->SetTrace(trace);
-    db->counters().active = true;
-    polls_before = ctx->polls();
-    attempts_before =
-        db->counters().attempts.load(std::memory_order_relaxed);
-    novel_before = db->counters().novel.load(std::memory_order_relaxed);
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineStart;
-    e.engine = kEngineName;
-    trace->Emit(e);
-  }
-
   const bool measuring = stats != nullptr || trace != nullptr;
-  uint64_t run_tuples = 0;
   Status result = Status::OK();
   // Each stratum of a recursion-free program is one predicate whose rules
   // read strictly lower strata, so a single pass per rule in stratum order
@@ -86,7 +68,7 @@ Status RunNonRecursive(const Program& program, Database* db,
       RuleExecMetrics metrics;
       size_t inserted =
           plan.ExecuteInto(out, &overflow, measuring ? &metrics : nullptr);
-      run_tuples += inserted;
+      run->span().AddTuples(inserted);
       ctx->NoteTuples(inserted);
       if (stats != nullptr) {
         stats->tuples_inserted += inserted;
@@ -120,23 +102,8 @@ Status RunNonRecursive(const Program& program, Database* db,
       const Relation* rel = db->Find(name);
       stats->NoteRelation(name, rel == nullptr ? 0 : rel->size());
     }
-    stats->seconds = timer.Seconds();
+    stats->seconds = run->span().Seconds();
     if (stats->algorithm.empty()) stats->algorithm = kEngineName;
-  }
-  if (trace != nullptr) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineFinish;
-    e.engine = kEngineName;
-    e.seconds = timer.Seconds();
-    e.iterations = 0;  // the headline: no fixpoint rounds ran
-    e.tuples = run_tuples;
-    e.polls = ctx->polls() - polls_before;
-    e.insert_attempts =
-        db->counters().attempts.load(std::memory_order_relaxed) -
-        attempts_before;
-    e.insert_new = db->counters().novel.load(std::memory_order_relaxed) -
-                   novel_before;
-    trace->Emit(e);
   }
   return result;
 }
@@ -146,11 +113,10 @@ Status RunNonRecursive(const Program& program, Database* db,
 Status EvaluateNonRecursive(const Program& program, Database* db,
                             const FixpointOptions& options,
                             EvalStats* stats) {
-  GovernorScope governor(options.limits, options.cancel, options.context);
-  governor.ctx()->TrackMemory(&db->accountant());
-  SEPREC_RETURN_IF_ERROR(
-      RunNonRecursive(program, db, options, governor.ctx(), stats));
-  return governor.ExitStatus();
+  // The span's iterations stay 0, the headline: no fixpoint rounds ran.
+  EngineRun run(kEngineName, options, db);
+  SEPREC_RETURN_IF_ERROR(RunNonRecursive(program, db, &run, stats));
+  return run.ExitStatus();
 }
 
 }  // namespace seprec

@@ -62,7 +62,8 @@ struct PlannedBody {
 // relation is then scanned directly, uncached). `indexed` is false under
 // the --disable-indexes ablation, where every scan is a full walk.
 // `allow_merge` lets the DP consider merge joins over ordered
-// (segment-backed) relations; false is the --no-segments ablation.
+// (segment-backed) relations; false forces hash joins (the ablation
+// bench/micro_segment measures merge against).
 PlannedBody PlanJoinOrder(const Rule& rule,
                           const std::vector<const Relation*>& relations,
                           StatsCatalog* stats, JoinOrderMode mode,

@@ -12,7 +12,6 @@
 #include "util/hash.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace seprec {
 
@@ -560,6 +559,35 @@ void EmitAnswer(const AnchorInfo& anchor, Row anchor_values, Row rest_values,
   }
 }
 
+// Answers one full selection with a compiled schema: seeds phase 1 with the
+// query's anchor constants (already interned), runs the Figure-2 schema and
+// adds the matching answers to `result`. `reuse`/`capture` as in
+// SchemaRunner::Run.
+void RunFullSelection(SchemaRunner* runner, const Atom& query, Database* db,
+                      ExecutionContext* ctx, SeparableRunResult* result,
+                      const Phase1Closure* reuse = nullptr,
+                      Phase1Closure* capture = nullptr) {
+  bool resolvable = false;
+  std::vector<std::optional<Value>> query_constants =
+      ResolveConstants(query, db->symbols(), &resolvable);
+  SEPREC_CHECK(resolvable);  // the entry points intern every constant
+
+  const AnchorInfo& anchor = runner->anchor();
+  std::vector<Value> seed;
+  seed.reserve(anchor.anchor_positions.size());
+  for (uint32_t p : anchor.anchor_positions) {
+    seed.push_back(*query_constants[p]);
+  }
+  std::vector<std::vector<Value>> rest_rows;
+  runner->Run({seed}, ctx, &result->stats, &rest_rows, reuse, capture);
+  ++result->schema_runs;
+  for (const std::vector<Value>& rest : rest_rows) {
+    EmitAnswer(anchor, Row(seed.data(), seed.size()),
+               Row(rest.data(), rest.size()), query, query_constants,
+               &result->answer);
+  }
+}
+
 // Forward declaration for the partial-selection driver's recursion (the
 // t_part branch is itself a full selection on a reduced recursion).
 Status EvaluateSelection(const Program& program, const SeparableRecursion& sep,
@@ -680,27 +708,37 @@ Status EvaluateSelection(const Program& program, const SeparableRecursion& sep,
     return EvaluatePartial(program, sep, query, db, ctx, join_order, result);
   }
 
-  bool resolvable = false;
-  std::vector<std::optional<Value>> query_constants =
-      ResolveConstants(query, db->symbols(), &resolvable);
-  SEPREC_CHECK(resolvable);
-
-  std::vector<Value> seed;
-  for (uint32_t p : anchor->anchor_positions) {
-    seed.push_back(*query_constants[p]);
-  }
-
-  SchemaRunner runner(sep, *anchor, db, ctx->limits().parallel, join_order);
+  SchemaRunner runner(sep, *std::move(anchor), db, ctx->limits().parallel,
+                      join_order);
   SEPREC_RETURN_IF_ERROR(runner.Compile());
-  std::vector<std::vector<Value>> rest_rows;
-  runner.Run({seed}, ctx, &result->stats, &rest_rows);
-  ++result->schema_runs;
-  for (const std::vector<Value>& rest : rest_rows) {
-    EmitAnswer(*anchor, Row(seed.data(), seed.size()),
-               Row(rest.data(), rest.size()), query, query_constants,
-               &result->answer);
-  }
+  RunFullSelection(&runner, query, db, ctx, result);
   return Status::OK();
+}
+
+// The engine run both separable entry points share: interns the query
+// constants (a fresh symbol simply matches nothing), materialises the
+// support predicates of `program`, then lets `evaluate` answer the
+// selection under the run's governor context.
+template <typename Evaluate>
+StatusOr<SeparableRunResult> RunSeparable(const Program& program,
+                                          std::string_view predicate,
+                                          const Atom& query, Database* db,
+                                          const FixpointOptions& options,
+                                          Evaluate evaluate) {
+  SeparableRunResult result;
+  EngineRun run("separable", options, db);
+  run.span().CountFrom(&result.stats);
+  result.answer = Answer(query.arity());
+  result.stats.algorithm = "separable";
+  for (const Term& arg : query.args) {
+    if (arg.kind == Term::Kind::kSymbol) db->symbols().Intern(arg.name);
+  }
+  SEPREC_RETURN_IF_ERROR(MaterializeSupport(program, predicate, db,
+                                            run.options(), &result.stats));
+  SEPREC_RETURN_IF_ERROR(evaluate(run.ctx(), &result));
+  result.stats.seconds = run.span().Seconds();
+  SEPREC_RETURN_IF_ERROR(run.ExitStatus());
+  return result;
 }
 
 }  // namespace
@@ -728,63 +766,14 @@ StatusOr<SeparableRunResult> EvaluateWithSeparable(
         "the Separable algorithm requires a selection constant");
   }
 
-  SeparableRunResult result;
-  result.answer = Answer(query.arity());
-  result.stats.algorithm = "separable";
-  WallTimer timer;
-
-  GovernorScope governor(options.limits, options.cancel, options.context);
-  governor.ctx()->TrackMemory(&db->accountant());
-
-  uint64_t polls_before = 0;
-  uint64_t attempts_before = 0;
-  uint64_t novel_before = 0;
-  if (options.trace != nullptr) {
-    governor.ctx()->SetTrace(options.trace);
-    db->counters().active = true;
-    polls_before = governor.ctx()->polls();
-    attempts_before = db->counters().attempts.load(std::memory_order_relaxed);
-    novel_before = db->counters().novel.load(std::memory_order_relaxed);
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineStart;
-    e.engine = "separable";
-    options.trace->Emit(e);
-  }
-
-  // Intern the query constants so seeds have concrete Values (a fresh
-  // symbol simply matches nothing).
-  for (const Term& arg : query.args) {
-    if (arg.kind == Term::Kind::kSymbol) db->symbols().Intern(arg.name);
-  }
-
-  FixpointOptions governed = options;
-  governed.context = governor.ctx();
-  SEPREC_RETURN_IF_ERROR(MaterializeSupport(program, sep.predicate(), db,
-                                            governed, &result.stats));
-  Status status =
-      EvaluateSelection(program, sep, query, db, governor.ctx(),
-                        options.no_cbo ? JoinOrderMode::kTextual
-                                       : JoinOrderMode::kCostBased,
-                        &result);
-  result.stats.seconds = timer.Seconds();
-  if (options.trace != nullptr) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineFinish;
-    e.engine = "separable";
-    e.seconds = result.stats.seconds;
-    e.iterations = result.stats.iterations;
-    e.tuples = result.stats.tuples_inserted;
-    e.polls = governor.ctx()->polls() - polls_before;
-    e.insert_attempts =
-        db->counters().attempts.load(std::memory_order_relaxed) -
-        attempts_before;
-    e.insert_new =
-        db->counters().novel.load(std::memory_order_relaxed) - novel_before;
-    options.trace->Emit(e);
-  }
-  if (!status.ok()) return status;
-  SEPREC_RETURN_IF_ERROR(governor.ExitStatus());
-  return result;
+  const JoinOrderMode join_order =
+      options.no_cbo ? JoinOrderMode::kTextual : JoinOrderMode::kCostBased;
+  return RunSeparable(
+      program, sep.predicate(), query, db, options,
+      [&](ExecutionContext* ctx, SeparableRunResult* result) {
+        return EvaluateSelection(program, sep, query, db, ctx, join_order,
+                                 result);
+      });
 }
 
 StatusOr<SeparableRunResult> EvaluateWithSeparable(
@@ -941,84 +930,15 @@ StatusOr<SeparableRunResult> PreparedSeparable::Execute(
   // Stale support rows would survive an EDB delete: start from the base.
   Database* db = &impl_->db;
   db->ClearLocal(/*reload=*/true);
-
-  SeparableRunResult result;
-  result.answer = Answer(query.arity());
-  result.stats.algorithm = "separable";
-  WallTimer timer;
-
-  GovernorScope governor(options.limits, options.cancel, options.context);
-  governor.ctx()->TrackMemory(&db->accountant());
-
-  uint64_t polls_before = 0;
-  uint64_t attempts_before = 0;
-  uint64_t novel_before = 0;
-  if (options.trace != nullptr) {
-    governor.ctx()->SetTrace(options.trace);
-    db->counters().active = true;
-    polls_before = governor.ctx()->polls();
-    attempts_before = db->counters().attempts.load(std::memory_order_relaxed);
-    novel_before = db->counters().novel.load(std::memory_order_relaxed);
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineStart;
-    e.engine = "separable";
-    options.trace->Emit(e);
-  }
-
-  // Intern the query constants so seeds have concrete Values (a fresh
-  // symbol simply matches nothing).
-  for (const Term& arg : query.args) {
-    if (arg.kind == Term::Kind::kSymbol) db->symbols().Intern(arg.name);
-  }
-
-  FixpointOptions governed = options;
-  governed.context = governor.ctx();
-  Status status = MaterializeSupport(impl_->program, impl_->sep.predicate(),
-                                     db, governed, &result.stats);
-  if (status.ok()) {
-    bool resolvable = false;
-    std::vector<std::optional<Value>> query_constants =
-        ResolveConstants(query, db->symbols(), &resolvable);
-    SEPREC_CHECK(resolvable);  // all constants interned above
-
-    const AnchorInfo& anchor = impl_->runner->anchor();
-    std::vector<Value> seed;
-    seed.reserve(anchor.anchor_positions.size());
-    for (uint32_t p : anchor.anchor_positions) {
-      seed.push_back(*query_constants[p]);
-    }
-
-    std::vector<std::vector<Value>> rest_rows;
-    impl_->runner->Run({seed}, governor.ctx(), &result.stats, &rest_rows,
-                       reuse, capture);
-    result.schema_runs = 1;
-    for (const std::vector<Value>& rest : rest_rows) {
-      EmitAnswer(anchor, Row(seed.data(), seed.size()),
-                 Row(rest.data(), rest.size()), query, query_constants,
-                 &result.answer);
-    }
-  }
-
-  result.stats.seconds = timer.Seconds();
-  if (options.trace != nullptr) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineFinish;
-    e.engine = "separable";
-    e.seconds = result.stats.seconds;
-    e.iterations = result.stats.iterations;
-    e.tuples = result.stats.tuples_inserted;
-    e.polls = governor.ctx()->polls() - polls_before;
-    e.insert_attempts =
-        db->counters().attempts.load(std::memory_order_relaxed) -
-        attempts_before;
-    e.insert_new =
-        db->counters().novel.load(std::memory_order_relaxed) - novel_before;
-    options.trace->Emit(e);
-  }
+  StatusOr<SeparableRunResult> result = RunSeparable(
+      impl_->program, impl_->sep.predicate(), query, db, options,
+      [&](ExecutionContext* ctx, SeparableRunResult* out) {
+        RunFullSelection(impl_->runner.get(), query, db, ctx, out, reuse,
+                         capture);
+        return Status::OK();
+      });
   // No derived row outlives the request.
   db->ClearLocal(/*reload=*/false);
-  if (!status.ok()) return status;
-  SEPREC_RETURN_IF_ERROR(governor.ExitStatus());
   return result;
 }
 

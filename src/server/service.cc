@@ -656,15 +656,13 @@ StatusOr<CheckpointInfo> QueryService::CheckpointLocked() {
   }
   SEPREC_ASSIGN_OR_RETURN(CheckpointInfo info,
                           options_.storage->Checkpoint(*db_));
-  if (options_.storage->use_segments()) {
-    // The snapshot just written is the database's exact current contents,
-    // so fold the in-memory delta layers into it: every relation re-bases
-    // onto the fresh mmap-backed segments and the resident heap rows are
-    // released. Compiled plans survive (Relation pointers are stable) and
-    // the generation does not move — the data did not change.
-    SEPREC_RETURN_IF_ERROR(CompactToSnapshotSegments(
-        db_, StrCat(options_.storage->dir(), "/", info.snapshot_file)));
-  }
+  // The snapshot just written is the database's exact current contents,
+  // so fold the in-memory delta layers into it: every relation re-bases
+  // onto the fresh mmap-backed segments and the resident heap rows are
+  // released. Compiled plans survive (Relation pointers are stable) and
+  // the generation does not move — the data did not change.
+  SEPREC_RETURN_IF_ERROR(CompactToSnapshotSegments(
+      db_, StrCat(options_.storage->dir(), "/", info.snapshot_file)));
   if (options_.trace != nullptr) {
     TraceEvent ev;
     ev.kind = TraceEventKind::kSession;

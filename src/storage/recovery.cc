@@ -315,13 +315,10 @@ StatusOr<CheckpointInfo> DurableStorage::Checkpoint(const Database& db) {
   const uint64_t retired_bytes = wal_bytes();
 
   // 1. New snapshot, durably in place under its (not-yet-referenced)
-  // name. Segment (v3) files and text (v2) files share the same atomic
-  // write-temp + rename discipline; recovery sniffs the format.
-  if (options_.use_segments) {
-    SEPREC_RETURN_IF_ERROR(SaveSnapshotV3File(db, snap_path));
-  } else {
-    SEPREC_RETURN_IF_ERROR(SaveSnapshotFile(db, snap_path));
-  }
+  // name, written in segment format v3 (atomic write-temp + rename).
+  // Recovery sniffs the format, so text v1/v2 snapshots from older data
+  // directories still load.
+  SEPREC_RETURN_IF_ERROR(SaveSnapshotV3File(db, snap_path));
 
   // 2. Fresh WAL for the new epoch. An orphan from an interrupted earlier
   // checkpoint may exist; it is unreferenced garbage, so clear it first.

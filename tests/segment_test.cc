@@ -562,8 +562,8 @@ TEST_F(SegmentTest, MergeJoinMatchesHashJoinBitIdentically) {
   const std::string hashed =
       RunRuleWithAlgo(rule, &loaded, /*allow_merge=*/false, &hash_algo);
   // Both segment-backed inputs share the leading variable: the planner
-  // must pick the merge join, and --no-segments (allow_merge=false) must
-  // fall back to hash with bit-identical answers.
+  // must pick the merge join, and allow_merge=false must fall back to
+  // hash with bit-identical answers.
   EXPECT_EQ(merge_algo, "merge");
   EXPECT_EQ(hash_algo, "hash");
   EXPECT_FALSE(merged.empty());

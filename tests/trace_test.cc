@@ -19,7 +19,9 @@
 #include "gen/generators.h"
 #include "gen/workloads.h"
 #include "magic/engine.h"
+#include "opt/nonrecursive.h"
 #include "separable/engine.h"
+#include "util/string_util.h"
 
 namespace seprec {
 namespace {
@@ -346,6 +348,416 @@ TEST(TraceStats, PerRoundAndPerRuleBreakdownsFill) {
   std::string text = stats.ToString();
   EXPECT_NE(text.find("rounds:"), std::string::npos) << text;
   EXPECT_NE(text.find("rules:"), std::string::npos) << text;
+}
+
+// ---- The engine-run contract -----------------------------------------------
+// Every engine run is one engine_start/engine_finish pair, error returns
+// included, and leaves no '$' scratch relation in the caller's database.
+
+void ExpectClosedRuns(const std::vector<TraceEvent>& events,
+                      const Database& db, size_t runs) {
+  EXPECT_EQ(CountKind(events, TraceEventKind::kEngineStart), runs);
+  EXPECT_EQ(CountKind(events, TraceEventKind::kEngineFinish), runs);
+  for (const std::string& name : db.RelationNames()) {
+    EXPECT_NE(name.front(), '$') << name;
+  }
+}
+
+TEST(EngineRunContract, SemiNaiveArityClashClosesRunAndDropsDeltas) {
+  CollectingTraceSink sink;
+  Database db;
+  ASSERT_TRUE(db.AddFact("e", {"a"}).ok());
+  ASSERT_TRUE(db.CreateRelation("q", 3).ok());
+  // Stratum 0 (p) materialises $delta_p; stratum 1 fails on q's arity.
+  Status status = EvaluateSemiNaive(
+      ParseProgramOrDie("p(X) :- e(X). q(X, Y) :- p(X) & p(Y)."), &db,
+      TracedOptions(&sink));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  ExpectClosedRuns(sink.Events(), db, 1);
+}
+
+TEST(EngineRunContract, NonRecursiveArityClashClosesRun) {
+  CollectingTraceSink sink;
+  Database db;
+  ASSERT_TRUE(db.AddFact("e", {"a"}).ok());
+  ASSERT_TRUE(db.CreateRelation("p", 2).ok());
+  Status status = EvaluateNonRecursive(ParseProgramOrDie("p(X) :- e(X)."),
+                                       &db, TracedOptions(&sink));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  ExpectClosedRuns(sink.Events(), db, 1);
+}
+
+Program SeparableWithSupportProgram() {
+  return ParseProgramOrDie(
+      "hop(X, Y) :- e(X, Z) & e(Z, Y)."
+      "t(X, Y) :- e0(X, Y)."
+      "t(X, Y) :- hop(X, Z) & t(Z, Y).");
+}
+
+TEST(EngineRunContract, SeparableSupportFailureClosesBothRuns) {
+  CollectingTraceSink sink;
+  Database db;
+  ASSERT_TRUE(db.CreateRelation("hop", 3).ok());
+  // The separable run and its nested support fixpoint (hop) both fail.
+  auto result =
+      EvaluateWithSeparable(SeparableWithSupportProgram(),
+                            ParseAtomOrDie("t(a, Y)"), &db,
+                            TracedOptions(&sink));
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  ExpectClosedRuns(sink.Events(), db, 2);
+}
+
+// Pins each engine's event sequence on a small fixed input: one line per
+// event, (ev, engine, phase, round), with engine_finish's deterministic
+// totals appended. `expected` starts with a newline so the raw-string pins
+// read one event a line.
+void ExpectEventLines(const std::vector<TraceEvent>& events,
+                      const std::string& expected) {
+  std::string lines = "\n";
+  for (const TraceEvent& e : events) {
+    lines += StrCat(TraceEventKindName(e.kind), " ", e.engine, " ", e.phase,
+                    " ", e.round);
+    if (e.kind == TraceEventKind::kEngineFinish) {
+      lines += StrCat(" iterations=", e.iterations, " tuples=", e.tuples,
+                      " insert_attempts=", e.insert_attempts,
+                      " insert_new=", e.insert_new);
+    }
+    lines += "\n";
+  }
+  EXPECT_EQ(lines, expected);
+}
+
+void MakeSeparableWithSupportData(Database* db) {
+  MakeChain(db, "e", "n", 4);
+  SEPREC_CHECK(db->AddFact("e0", {"n2", "z"}).ok());
+}
+
+TEST(EngineRunPins, SemiNaive) {
+  CollectingTraceSink sink;
+  Database db;
+  MakeChain(&db, "edge", "v", 3);
+  ASSERT_TRUE(EvaluateSemiNaive(TransitiveClosureProgram(), &db,
+                                TracedOptions(&sink)).ok());
+  ExpectEventLines(sink.Events(), R"(
+engine_start seminaive  0
+plan seminaive compile/base 0
+plan seminaive compile/delta 0
+plan seminaive compile/base 0
+round_start seminaive stratum1 0
+rule seminaive stratum1 0
+merge seminaive stratum1 0
+round_end seminaive stratum1 0
+round_start seminaive stratum1 1
+rule seminaive stratum1 1
+merge seminaive stratum1 1
+round_end seminaive stratum1 1
+round_start seminaive stratum1 2
+rule seminaive stratum1 2
+merge seminaive stratum1 2
+round_end seminaive stratum1 2
+engine_finish seminaive  0 iterations=3 tuples=3 insert_attempts=6 insert_new=6
+)");
+}
+
+TEST(EngineRunPins, Naive) {
+  CollectingTraceSink sink;
+  Database db;
+  MakeChain(&db, "edge", "v", 3);
+  ASSERT_TRUE(EvaluateNaive(TransitiveClosureProgram(), &db,
+                            TracedOptions(&sink)).ok());
+  ExpectEventLines(sink.Events(), R"(
+engine_start naive  0
+plan naive compile/base 0
+plan naive compile/base 0
+round_start naive stratum1 0
+rule naive stratum1 0
+merge naive stratum1 0
+round_end naive stratum1 0
+round_start naive stratum1 1
+rule naive stratum1 1
+rule naive stratum1 1
+merge naive stratum1 1
+round_end naive stratum1 1
+round_start naive stratum1 2
+rule naive stratum1 2
+rule naive stratum1 2
+merge naive stratum1 2
+round_end naive stratum1 2
+engine_finish naive  0 iterations=3 tuples=3 insert_attempts=8 insert_new=3
+)");
+}
+
+TEST(EngineRunPins, NonRecursive) {
+  CollectingTraceSink sink;
+  Database db;
+  MakeChain(&db, "edge", "v", 4);
+  ASSERT_TRUE(EvaluateNonRecursive(
+                  ParseProgramOrDie("two(X, Z) :- edge(X, Y) & edge(Y, Z)."
+                                    "three(X, Z) :- two(X, Y) & edge(Y, Z)."),
+                  &db, TracedOptions(&sink)).ok());
+  ExpectEventLines(sink.Events(), R"(
+engine_start nonrecursive  0
+rule nonrecursive stratum1 0
+rule nonrecursive stratum2 0
+engine_finish nonrecursive  0 iterations=0 tuples=3 insert_attempts=3 insert_new=3
+)");
+}
+
+TEST(EngineRunPins, Separable) {
+  CollectingTraceSink sink;
+  Database db;
+  MakeSeparableWithSupportData(&db);
+  auto result = EvaluateWithSeparable(SeparableWithSupportProgram(),
+                                      ParseAtomOrDie("t(n0, Y)"), &db,
+                                      TracedOptions(&sink));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->answer.size(), 1u);
+  ExpectEventLines(sink.Events(), R"(
+engine_start separable  0
+engine_start seminaive  0
+plan seminaive support/compile/base 0
+round_start seminaive support/stratum1 0
+rule seminaive support/stratum1 0
+merge seminaive support/stratum1 0
+round_end seminaive support/stratum1 0
+engine_finish seminaive  0 iterations=1 tuples=2 insert_attempts=4 insert_new=4
+round_start separable phase1 0
+rule separable phase1 0
+merge separable phase1 0
+round_end separable phase1 0
+round_start separable phase1 1
+rule separable phase1 1
+merge separable phase1 1
+round_end separable phase1 1
+round_start separable exit 0
+rule separable exit 0
+merge separable exit 0
+round_end separable exit 0
+engine_finish separable  0 iterations=3 tuples=5 insert_attempts=10 insert_new=10
+)");
+}
+
+TEST(EngineRunPins, PreparedSeparable) {
+  CollectingTraceSink sink;
+  Database db;
+  MakeSeparableWithSupportData(&db);
+  Program program = SeparableWithSupportProgram();
+  Atom query = ParseAtomOrDie("t(n0, Y)");
+  auto sep = AnalyzeSeparable(program, "t");
+  ASSERT_TRUE(sep.ok()) << sep.status().ToString();
+  ParallelPolicy serial;
+  serial.num_threads = 1;
+  auto prepared = PreparedSeparable::Compile(program, *sep, query, &db, serial);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto result = (*prepared)->Execute(query, TracedOptions(&sink));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->answer.size(), 1u);
+  ExpectEventLines(sink.Events(), R"(
+engine_start separable  0
+engine_start seminaive  0
+plan seminaive support/compile/base 0
+round_start seminaive support/stratum1 0
+rule seminaive support/stratum1 0
+merge seminaive support/stratum1 0
+round_end seminaive support/stratum1 0
+engine_finish seminaive  0 iterations=1 tuples=2 insert_attempts=4 insert_new=4
+round_start separable phase1 0
+rule separable phase1 0
+merge separable phase1 0
+round_end separable phase1 0
+round_start separable phase1 1
+rule separable phase1 1
+merge separable phase1 1
+round_end separable phase1 1
+round_start separable exit 0
+rule separable exit 0
+merge separable exit 0
+round_end separable exit 0
+engine_finish separable  0 iterations=3 tuples=5 insert_attempts=10 insert_new=10
+)");
+}
+
+TEST(EngineRunPins, Magic) {
+  CollectingTraceSink sink;
+  Database db;
+  MakeChain(&db, "edge", "v", 3);
+  auto result = EvaluateWithMagic(TransitiveClosureProgram(),
+                                  ParseAtomOrDie("tc(v0, Y)"), &db,
+                                  TracedOptions(&sink));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectEventLines(sink.Events(), R"(
+engine_start magic  0
+engine_start seminaive  0
+plan seminaive magic/compile/base 0
+plan seminaive magic/compile/base 0
+plan seminaive magic/compile/delta 0
+round_start seminaive magic/stratum1 0
+rule seminaive magic/stratum1 0
+merge seminaive magic/stratum1 0
+round_end seminaive magic/stratum1 0
+round_start seminaive magic/stratum1 1
+rule seminaive magic/stratum1 1
+merge seminaive magic/stratum1 1
+round_end seminaive magic/stratum1 1
+round_start seminaive magic/stratum1 2
+rule seminaive magic/stratum1 2
+merge seminaive magic/stratum1 2
+round_end seminaive magic/stratum1 2
+round_start seminaive magic/stratum1 3
+rule seminaive magic/stratum1 3
+merge seminaive magic/stratum1 3
+round_end seminaive magic/stratum1 3
+plan seminaive magic/compile/base 0
+plan seminaive magic/compile/delta 0
+plan seminaive magic/compile/base 0
+round_start seminaive magic/stratum2 0
+rule seminaive magic/stratum2 0
+merge seminaive magic/stratum2 0
+round_end seminaive magic/stratum2 0
+round_start seminaive magic/stratum2 1
+rule seminaive magic/stratum2 1
+merge seminaive magic/stratum2 1
+round_end seminaive magic/stratum2 1
+round_start seminaive magic/stratum2 2
+rule seminaive magic/stratum2 2
+merge seminaive magic/stratum2 2
+round_end seminaive magic/stratum2 2
+engine_finish seminaive  0 iterations=7 tuples=6 insert_attempts=12 insert_new=12
+engine_finish magic  0 iterations=7 tuples=6 insert_attempts=12 insert_new=12
+)");
+}
+
+TEST(EngineRunPins, Counting) {
+  CollectingTraceSink sink;
+  Database db;
+  MakeChain(&db, "edge", "v", 3);
+  auto result = EvaluateWithCounting(TransitiveClosureProgram(),
+                                     ParseAtomOrDie("tc(v0, Y)"), &db,
+                                     TracedOptions(&sink));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectEventLines(sink.Events(), R"(
+engine_start counting  0
+engine_start seminaive  0
+plan seminaive counting/compile/base 0
+plan seminaive counting/compile/base 0
+plan seminaive counting/compile/delta 0
+round_start seminaive counting/stratum1 0
+rule seminaive counting/stratum1 0
+merge seminaive counting/stratum1 0
+round_end seminaive counting/stratum1 0
+round_start seminaive counting/stratum1 1
+rule seminaive counting/stratum1 1
+merge seminaive counting/stratum1 1
+round_end seminaive counting/stratum1 1
+round_start seminaive counting/stratum1 2
+rule seminaive counting/stratum1 2
+merge seminaive counting/stratum1 2
+round_end seminaive counting/stratum1 2
+round_start seminaive counting/stratum1 3
+rule seminaive counting/stratum1 3
+merge seminaive counting/stratum1 3
+round_end seminaive counting/stratum1 3
+plan seminaive counting/compile/base 0
+plan seminaive counting/compile/delta 0
+plan seminaive counting/compile/base 0
+round_start seminaive counting/stratum2 0
+rule seminaive counting/stratum2 0
+merge seminaive counting/stratum2 0
+round_end seminaive counting/stratum2 0
+round_start seminaive counting/stratum2 1
+rule seminaive counting/stratum2 1
+merge seminaive counting/stratum2 1
+round_end seminaive counting/stratum2 1
+round_start seminaive counting/stratum2 2
+rule seminaive counting/stratum2 2
+merge seminaive counting/stratum2 2
+round_end seminaive counting/stratum2 2
+plan seminaive counting/compile/base 0
+round_start seminaive counting/stratum3 0
+rule seminaive counting/stratum3 0
+merge seminaive counting/stratum3 0
+round_end seminaive counting/stratum3 0
+engine_finish seminaive  0 iterations=8 tuples=8 insert_attempts=16 insert_new=16
+engine_finish counting  0 iterations=8 tuples=8 insert_attempts=16 insert_new=16
+)");
+}
+
+TEST(EngineRunPins, Qsqr) {
+  CollectingTraceSink sink;
+  Database db;
+  MakeChain(&db, "edge", "v", 3);
+  auto result = EvaluateWithQsqr(TransitiveClosureProgram(),
+                                 ParseAtomOrDie("tc(v0, Y)"), &db,
+                                 TracedOptions(&sink));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectEventLines(sink.Events(), R"(
+engine_start qsqr  0
+round_start qsqr pass 1
+round_end qsqr pass 1
+round_start qsqr pass 2
+round_end qsqr pass 2
+round_start qsqr pass 3
+round_end qsqr pass 3
+round_start qsqr pass 4
+round_end qsqr pass 4
+round_start qsqr pass 5
+round_end qsqr pass 5
+round_start qsqr pass 6
+round_end qsqr pass 6
+round_start qsqr pass 7
+round_end qsqr pass 7
+engine_finish qsqr  0 iterations=7 tuples=11 insert_attempts=22 insert_new=22
+)");
+}
+
+TEST(EngineRunPins, Incremental) {
+  CollectingTraceSink sink;
+  Database db;
+  MakeChain(&db, "edge", "v", 3);
+  auto engine = IncrementalEngine::Create(TransitiveClosureProgram(), &db);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  engine->set_trace(&sink);
+  ASSERT_TRUE(engine->Initialize().ok());
+  ASSERT_TRUE(engine->AddFact("edge", {"v2", "v3"}).ok());
+  ASSERT_TRUE(engine->RemoveFact("edge", {"v0", "v1"}).ok());
+  ExpectEventLines(sink.Events(), R"(
+engine_start seminaive  0
+plan seminaive init/compile/base 0
+plan seminaive init/compile/delta 0
+plan seminaive init/compile/base 0
+round_start seminaive init/stratum1 0
+rule seminaive init/stratum1 0
+merge seminaive init/stratum1 0
+round_end seminaive init/stratum1 0
+round_start seminaive init/stratum1 1
+rule seminaive init/stratum1 1
+merge seminaive init/stratum1 1
+round_end seminaive init/stratum1 1
+round_start seminaive init/stratum1 2
+rule seminaive init/stratum1 2
+merge seminaive init/stratum1 2
+round_end seminaive init/stratum1 2
+engine_finish seminaive  0 iterations=3 tuples=3 insert_attempts=6 insert_new=6
+engine_start incremental  0
+round_start incremental insert 1
+round_end incremental insert 1
+round_start incremental insert 2
+round_end incremental insert 2
+round_start incremental insert 3
+round_end incremental insert 3
+round_start incremental insert 4
+round_end incremental insert 4
+engine_finish incremental  0 iterations=4 tuples=3 insert_attempts=8 insert_new=8
+engine_start incremental  0
+round_start incremental overdelete 1
+round_end incremental overdelete 1
+round_start incremental overdelete 2
+round_end incremental overdelete 2
+round_start incremental rederive 1
+round_end incremental rederive 1
+engine_finish incremental  0 iterations=2 tuples=0 insert_attempts=8 insert_new=8
+)");
 }
 
 }  // namespace

@@ -136,8 +136,7 @@ int Usage() {
                "[--strategy S] [--stats]\n"
                "                  [--timeout-ms N] [--max-tuples N] "
                "[--max-bytes N] [--threads N]\n"
-               "                  [--trace FILE] [--no-cbo] "
-               "[--no-segments]\n"
+               "                  [--trace FILE] [--no-cbo]\n"
                "       seprec_cli check <program.dl>\n"
                "       seprec_cli explain <program.dl> \"<query>\"\n"
                "       seprec_cli why <program.dl> \"<fact>\" "
@@ -154,7 +153,7 @@ int Usage() {
                "[--data-dir DIR]\n"
                "                  [--fsync always|batch|off] "
                "[--recover strict|tolerant]\n"
-               "                  [--checkpoint-bytes N] [--no-segments]\n"
+               "                  [--checkpoint-bytes N]\n"
                "       seprec_cli client <socket> <program.dl> "
                "[--query \"<atom>\"] [--strategy S]\n"
                "                  [--no-cache] [--stats] [--timeout-ms N] "
@@ -250,12 +249,6 @@ StatusOr<CommonFlags> ParseFlags(int argc, char** argv, int first) {
       // Ablation: keep each rule body's textual atom order instead of the
       // cost-based join order (compare with bench/micro_plan.cc).
       flags.options.no_cbo = true;
-      continue;
-    }
-    if (arg == "--no-segments") {
-      // Ablation: pure hash-join pipeline, never a merge join over
-      // segment-backed relations (compare with bench/micro_segment.cc).
-      flags.options.no_segments = true;
       continue;
     }
     if (arg == "--data" && i + 1 < argc) {
@@ -732,12 +725,6 @@ int ServeCommand(const std::string& socket_path, int argc, char** argv,
       StatusOr<int64_t> v = ParseCount(arg, argv[++i]);
       if (!v.ok()) return Fail(v.status().ToString());
       durability.checkpoint_bytes = static_cast<uint64_t>(*v);
-      continue;
-    }
-    if (arg == "--no-segments") {
-      // Ablation: checkpoints write the text v2 snapshot format (no
-      // mmap-served segments) and no query compiles a merge join.
-      durability.use_segments = false;
       continue;
     }
     return Fail(StrCat("unknown serve flag '", arg, "'"));
